@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from .depth import depth_of_support, depth_upper_bound
 from .errors import DomainError, ParseError
 from .network import QubitNetwork, min_coupling
-from .pauli import PauliString, hs_norm_commutator, parse_pauli
+from .pauli import PauliString, commutes, parse_pauli
 
 
 @dataclass(frozen=True)
@@ -43,6 +43,8 @@ class GeneratorSpec:
         for a, p in terms:
             if a == 0.0:
                 raise DomainError("zero coefficients are not allowed")
+            if not math.isfinite(a):
+                raise DomainError(f"coefficient {a} of {p} is not finite")
             if p.n != n:
                 raise DomainError("all words must act on the same qubit count")
             if p.is_identity:
@@ -120,22 +122,50 @@ def single_term_bound(a: float, depth: int, J: float) -> float:
     return (depth * math.pi / 2 + abs(a)) / J
 
 
-def pair_commutator_sum(spec: GeneratorSpec) -> float:
-    """sum_{j>k} |a_j a_k| * ||[B_j, B_k]||  (Hilbert-Schmidt norms)."""
-    total = 0.0
-    terms = spec.terms
-    for j in range(1, len(terms)):
-        aj, pj = terms[j]
-        for k in range(j):
-            ak, pk = terms[k]
-            total += abs(aj * ak) * hs_norm_commutator(pj, pk)
-    return total
+def _check_epsilon(epsilon: float) -> None:
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise DomainError(f"epsilon must be finite and positive, got {epsilon}")
 
 
 def commutator_weight(spec: GeneratorSpec) -> float:
-    """K = pair_commutator_sum / sqrt(2**n); equals 2*sum of |a_j a_k| over
-    non-commuting pairs."""
-    return pair_commutator_sum(spec) / math.sqrt(2.0 ** spec.n)
+    """K = 2 * sum of |a_j a_k| over the anticommuting pairs j > k."""
+    terms = spec.terms
+    K = 2.0 * sum(abs(aj * ak)
+                  for j, (aj, pj) in enumerate(terms)
+                  for ak, pk in terms[:j] if not commutes(pj, pk))
+    if not math.isfinite(K):
+        raise DomainError("commutator weight overflows; coefficients too large")
+    return K
+
+
+def pair_commutator_sum(spec: GeneratorSpec) -> float:
+    """sum_{j>k} |a_j a_k| * ||[B_j, B_k]||  (Hilbert-Schmidt norms).
+
+    Every nonzero ||[B_j, B_k]|| is 2*sqrt(2**n), so this is K*sqrt(2**n).
+    """
+    return commutator_weight(spec) * 2.0 ** (spec.n / 2)
+
+
+def _error_bound(K: float, m: int) -> float:
+    return K / (2 * math.sqrt(2) * m)
+
+
+def _steps_for(K: float, epsilon: float) -> int:
+    _check_epsilon(epsilon)
+    e1 = _error_bound(K, 1)
+    if e1 <= epsilon:
+        return 1
+    ratio = e1 / epsilon
+    if not math.isfinite(ratio):
+        raise DomainError(f"epsilon {epsilon} needs unboundedly many steps")
+    # the bound is exactly K/(2*sqrt(2)*m); the ceil is off by at most one
+    # against the evaluated bound, in the last ulp
+    m = math.ceil(ratio)
+    if m > 1 and _error_bound(K, m - 1) <= epsilon:
+        m -= 1
+    elif _error_bound(K, m) > epsilon:
+        m += 1
+    return m
 
 
 def trotter_error_bound(spec: GeneratorSpec, m: int) -> float:
@@ -145,24 +175,12 @@ def trotter_error_bound(spec: GeneratorSpec, m: int) -> float:
     """
     if m < 1:
         raise DomainError("step count m must be >= 1")
-    return pair_commutator_sum(spec) / (2 * m * math.sqrt(2.0 ** (spec.n + 1)))
+    return _error_bound(commutator_weight(spec), m)
 
 
 def min_trotter_steps(spec: GeneratorSpec, epsilon: float) -> int:
     """Smallest integer m >= 1 with trotter_error_bound(spec, m) <= epsilon."""
-    if epsilon <= 0:
-        raise DomainError("epsilon must be positive")
-    e1 = trotter_error_bound(spec, 1)
-    if e1 <= epsilon:
-        return 1
-    # the bound is exactly e1/m; the ceil seeds the answer and the loops
-    # absorb any last-ulp disagreement with the evaluated bound
-    m = max(1, math.ceil(e1 / epsilon))
-    while m > 1 and trotter_error_bound(spec, m - 1) <= epsilon:
-        m -= 1
-    while trotter_error_bound(spec, m) > epsilon:
-        m += 1
-    return m
+    return _steps_for(commutator_weight(spec), epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +238,8 @@ def term_depths(
     spec: GeneratorSpec, net: QubitNetwork, exact: bool
 ) -> tuple[int, ...]:
     """Commutator depth per term: 0 for weight-1 words (free local
-    rotations), BFS depth when exact, else the 2*(n-2) fallback."""
+    rotations), the exact Steiner-tree depth when exact, else the 2*(n-2)
+    fallback."""
     out = []
     fallback = depth_upper_bound(net.n)
     for _, word in spec.terms:
@@ -254,15 +273,13 @@ def bound_report(
         raise DomainError(
             f"generator on {spec.n} qubits does not match network of {net.n}"
         )
-    if epsilon <= 0:
-        raise DomainError("epsilon must be positive")
     J = min_coupling(net)
     depths = term_depths(spec, net, exact=use_exact_depths)
     per_term = tuple(
         single_term_bound(a, d, J) for (a, _), d in zip(spec.terms, depths)
     )
     K = commutator_weight(spec)
-    m = max(1, min_trotter_steps(spec, epsilon))
+    m = _steps_for(K, epsilon)
     depth_sum = sum(depths)
 
     if spec.l == 1:
@@ -304,11 +321,9 @@ def run_time_bound(
         raise DomainError(
             f"generator on {spec.n} qubits does not match network of {net.n}"
         )
-    if epsilon <= 0:
-        raise DomainError("epsilon must be positive")
     J = min_coupling(net)
     depths = term_depths(spec, net, exact=use_exact_depths)
-    m = max(1, min_trotter_steps(spec, epsilon))
+    m = min_trotter_steps(spec, epsilon)
     return (spec.norm_1 + m * math.pi / 2 * sum(depths)) / J
 
 
@@ -364,8 +379,7 @@ def concatenation_bounds(
         raise DomainError("T_c must be positive")
     if n_per_block < 1:
         raise DomainError("blocks need at least one qubit")
-    if epsilon <= 0:
-        raise DomainError("epsilon must be positive")
+    _check_epsilon(epsilon)
     tau = T_c * (4 * (2 * n_per_block - 1) + 1)
     l = spec.l
     if l < 2:

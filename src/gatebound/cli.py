@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from . import bounds as bnd
@@ -92,7 +93,6 @@ def cmd_depth(args) -> int:
         "pauli": args.pauli,
         "local": False,
         "depth": result.depth,
-        "exact": result.exact,
         "start_edge": list(result.start_edge),
         "witness": [
             {"kind": s.kind, "edge": list(s.edge), "vertex": s.vertex}
@@ -312,8 +312,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    code = EXIT_OK
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (e.g. `| head`); point stdout at devnull
+        # so the interpreter's last flush does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return code
     except ParseError as exc:
         sys.stderr.write(f"parse error: {exc}\n")
         return EXIT_PARSE

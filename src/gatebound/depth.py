@@ -3,10 +3,40 @@
 With free local rotations on every qubit, the label content of a word is
 irrelevant: a word can be produced by a nested commutator of two-body edge
 terms iff its *support* can be walked to from a single edge by steps that
-grow or shrink the support one vertex at a time along edges.  Depth is the
-length of the shortest such walk, found by breadth-first search over vertex
-subsets (2**n states instead of 4**n strings; the equivalence is checked
-against a string-level search in the test suite).
+grow or shrink the support one vertex at a time along edges (the
+equivalence is checked against a string-level search in the test suite).
+Depth is the length of the shortest such walk.  For a support S of two or
+more qubits on a connected graph it has the closed form
+
+    depth(S) = 2*st(S) - |S| - 2,
+
+where st(S) is the size of a minimal Steiner set: the fewest vertices of a
+connected vertex set U that contains S.
+
+* Lower bound: the vertices a walk visits form a connected U containing S;
+  each vertex of U outside the start edge is grown at least once and each
+  vertex of U outside S is shrunk at least once.
+* Upper bound: start on an edge of G[U], grow the rest of U, then shrink
+  U \\ S, each time removing a vertex whose removal leaves a vertex of S in
+  every component of the support (the vertex of U \\ S farthest from S
+  always qualifies).
+
+U is S itself when the induced subgraph G[S] is connected; on a tree it is
+what remains after pruning leaves outside S, in O(n); otherwise the
+Dreyfus-Wagner program (Networks 1:195-207, 1971) finds it over
+shortest-path distances, in time exponential in the number of components
+of G[S], not in n.
+
+Witness rule: steps compare as (kind, edge, vertex) tuples with "grow" <
+"shrink", and the witness is the smallest shortest walk ranked by (first
+step, start edge, remaining steps).  Every shortest walk visits a minimal
+Steiner set, and moving all of its grow steps to the front keeps it valid,
+so on a given U the smallest walk grows U greedily (smallest available step
+first) and then shrinks greedily (smallest step that keeps a vertex of S in
+every component).  When U is unique -- on every tree, and whenever G[S] is
+connected -- this is the smallest shortest walk overall.  When several
+minimal Steiner sets exist, U is the one the Dreyfus-Wagner recursion
+reconstructs, taking the first minimizer in node order at every choice.
 
 Every weight >= 2 word on a connected n-qubit graph has depth at most
 2*(n-2): grow to full support along a spanning tree, then shrink.
@@ -14,14 +44,19 @@ Every weight >= 2 word on a connected n-qubit graph has depth at most
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DomainError, ResourceLimitError
 from .network import QubitNetwork
 from .pauli import PauliString
 
 MAX_TABLE_QUBITS = 20
+# Dreyfus-Wagner takes about 3**(c-1) vector steps for c components of G[S]
+MAX_STEINER_COMPONENTS = 13
 
 GROW = "grow"
 SHRINK = "shrink"
@@ -41,7 +76,6 @@ class DepthResult:
     target_support: tuple[int, ...]
     depth: int
     witness: tuple[DepthStep, ...]
-    exact: bool
     start_edge: tuple[int, int] | None
 
 
@@ -74,29 +108,175 @@ def replay_witness(start_edge: tuple[int, int], witness) -> frozenset[int]:
     return frozenset(support)
 
 
-def _candidate_steps(net: QubitNetwork, mask: int):
-    """Unit-cost moves from a support bitmask, in lexicographic step order.
+def _edge(u: int, v: int) -> tuple[int, int]:
+    return (u, v) if u < v else (v, u)
 
-    Step keys are (kind, edge, vertex) with "grow" < "shrink".  Shrinking
-    requires another support vertex across an edge, so the support can
-    never empty out.
+
+def _components(adj, vertices) -> list[set[int]]:
+    """Connected components of the induced subgraph, in order of least vertex."""
+    comps, seen = [], set()
+    for s in sorted(vertices):
+        if s in seen:
+            continue
+        seen.add(s)
+        comp, stack = {s}, [s]
+        while stack:
+            for w in adj[stack.pop()]:
+                if w in vertices and w not in seen:
+                    seen.add(w)
+                    comp.add(w)
+                    stack.append(w)
+        comps.append(comp)
+    return comps
+
+
+def _prune_tree(adj, terminals) -> set[int]:
+    """Minimal Steiner set on a tree: strip leaves outside the terminals."""
+    degree = [len(nbrs) for nbrs in adj]
+    keep = set(range(len(adj)))
+    leaves = [v for v in keep if degree[v] == 1 and v not in terminals]
+    while leaves:
+        v = leaves.pop()
+        keep.remove(v)
+        for w in adj[v]:
+            if w in keep:
+                degree[w] -= 1
+                if degree[w] == 1 and w not in terminals:
+                    leaves.append(w)
+    return keep
+
+
+def _dreyfus_wagner(adj, comps) -> set[int]:
+    """Fewest vertices outside the components that join them all.
+
+    Each component of G[S] is contracted to one terminal node (nodes
+    0..c-1); the other vertices follow in increasing order.  With unit
+    edge lengths a Steiner tree on c terminals and s other nodes has
+    c + s - 1 edges, so the cheapest tree needs the fewest extra vertices.
     """
+    c = len(comps)
+    if c > MAX_STEINER_COMPONENTS:
+        raise ResourceLimitError(
+            f"support splits into {c} components; the Steiner search is "
+            f"capped at {MAX_STEINER_COMPONENTS}"
+        )
+    node = {}
+    for i, comp in enumerate(comps):
+        for v in comp:
+            node[v] = i
+    inner = [v for v in range(len(adj)) if v not in node]
+    for i, v in enumerate(inner):
+        node[v] = c + i
+    N = c + len(inner)
+    nbrs = [set() for _ in range(N)]
+    for u, ws in enumerate(adj):
+        for w in ws:
+            if node[u] != node[w]:
+                nbrs[node[u]].add(node[w])
+    nbrs = [sorted(s) for s in nbrs]
+    dist = np.full((N, N), N, dtype=np.int64)  # N exceeds every distance
+    np.fill_diagonal(dist, 0)
+    for u in range(N):
+        dist[u, nbrs[u]] = 1
+    for k in range(N):  # Floyd-Warshall
+        np.minimum(dist, dist[:, k:k + 1] + dist[k], out=dist)
+
+    # dp[mask][v]: cheapest tree joining terminal set `mask` (of terminals
+    # 0..k-1) and node v.  Root terminal k closes the tree.
+    k = c - 1
+    cols = np.arange(N)
+    dp = [None] * (1 << k)
+    via = [None] * (1 << k)
+    split = [None] * (1 << k)
+    for t in range(k):
+        dp[1 << t] = dist[t]
+    for mask in range(1, 1 << k):
+        if mask & (mask - 1) == 0:
+            continue
+        low = mask & -mask
+        best = np.full(N, np.iinfo(np.int64).max // 4)
+        cut = np.zeros(N, dtype=np.int64)
+        sub = (mask - 1) & mask
+        while sub:
+            if sub & low:  # each unordered split once
+                cand = dp[sub] + dp[mask ^ sub]
+                better = cand < best
+                best[better] = cand[better]
+                cut[better] = sub
+            sub = (sub - 1) & mask
+        total = best[:, None] + dist
+        via[mask] = total.argmin(axis=0)
+        dp[mask] = total[via[mask], cols]
+        split[mask] = cut
+
+    chosen: set[int] = set()
+
+    def path(v: int, t: int) -> None:
+        chosen.add(v)
+        while v != t:
+            v = next(w for w in nbrs[v] if dist[t, w] == dist[t, v] - 1)
+            chosen.add(v)
+
+    def build(mask: int, v: int) -> None:
+        if mask & (mask - 1) == 0:
+            path(v, mask.bit_length() - 1)
+            return
+        u = int(via[mask][v])
+        path(v, u)
+        sub = int(split[mask][u])
+        build(sub, u)
+        build(mask ^ sub, u)
+
+    build((1 << k) - 1, k)
+    return {inner[i - c] for i in chosen if i >= c}
+
+
+def _steiner_set(net: QubitNetwork, adj, terminals: frozenset) -> set[int]:
+    comps = _components(adj, terminals)
+    if len(comps) == 1:
+        return set(terminals)
+    if len(net.edges) == net.n - 1:
+        return _prune_tree(adj, terminals)
+    return set(terminals) | _dreyfus_wagner(adj, comps)
+
+
+def _smallest_walk(adj, edges, U: set[int], terminals: frozenset):
+    """(start edge, steps) of the smallest shortest walk visiting U."""
+    adj = {v: [w for w in adj[v] if w in U] for v in U}
+    edges = [e for e in edges if e[0] in U and e[1] in U]
+    if len(U) == 2:
+        return edges[0], []
+    # the first step from each start edge is its smallest grow step
+    _, start = min(
+        (min((_edge(x, w), w) for x in e for w in adj[x] if w not in e), e)
+        for e in edges
+    )
+    support = set(start)
     steps = []
-    for (u, v) in net.sorted_edges():
-        u_in = mask >> u & 1
-        v_in = mask >> v & 1
-        if u_in != v_in:
-            w = v if u_in else u
-            steps.append((GROW, (u, v), w, mask | (1 << w)))
-    for (u, v) in net.sorted_edges():
-        if mask >> u & 1 and mask >> v & 1:
-            steps.append((SHRINK, (u, v), u, mask & ~(1 << u)))
-            steps.append((SHRINK, (u, v), v, mask & ~(1 << v)))
-    return steps
+    heap = [(_edge(x, w), w) for x in start for w in adj[x] if w not in support]
+    heapq.heapify(heap)
+    while len(support) < len(U):
+        edge, w = heapq.heappop(heap)
+        if w in support:
+            continue
+        support.add(w)
+        steps.append(DepthStep(GROW, edge, w))
+        for x in adj[w]:
+            if x not in support:
+                heapq.heappush(heap, (_edge(w, x), x))
+    while len(support) > len(terminals):
+        # every component left must keep a terminal to shrink towards
+        edge, y = next(
+            (e, y) for e in edges if e[0] in support and e[1] in support
+            for y in e if y not in terminals and all(
+                comp & terminals for comp in _components(adj, support - {y})))
+        support.remove(y)
+        steps.append(DepthStep(SHRINK, edge, y))
+    return start, steps
 
 
 def depth_of_support(net: QubitNetwork, support) -> DepthResult:
-    """BFS depth of a support set (>= 2 vertices) with a shortest witness."""
+    """Exact depth of a support set (>= 2 vertices) with a shortest witness."""
     if net.control_model != "full_local":
         raise DomainError(
             "depth via support search requires the full_local control model"
@@ -107,65 +287,15 @@ def depth_of_support(net: QubitNetwork, support) -> DepthResult:
     for q in vertices:
         if not 0 <= q < net.n:
             raise DomainError(f"qubit {q} outside 0..{net.n - 1}")
-    target = 0
-    for q in vertices:
-        target |= 1 << q
-
-    # Level-synchronous search keeping each level's states in lexicographic
-    # order of their witness step sequences, so ties between equal-length
-    # witnesses resolve to the smallest sequence (equal sequences from
-    # different start edges resolve to the smallest edge).  At level 0 all
-    # witnesses are empty, so the first expansion orders by step before
-    # start edge; afterwards the frontier order itself ranks the prefixes.
-    parent: dict[int, tuple] = {}
-    frontier: list[int] = []
-    for (u, v) in net.sorted_edges():
-        mask = (1 << u) | (1 << v)
-        if mask not in parent:
-            parent[mask] = (None, (u, v))
-            frontier.append(mask)
-
-    found = target in parent
-    first_level = True
-    while frontier and not found:
-        candidates = []
-        for idx, mask in enumerate(frontier):
-            for kind, edge, vertex, nxt in _candidate_steps(net, mask):
-                key = ((kind, edge, vertex), idx) if first_level else \
-                      (idx, (kind, edge, vertex))
-                candidates.append((key, kind, edge, vertex, mask, nxt))
-        candidates.sort(key=lambda c: c[0])
-        first_level = False
-        next_frontier = []
-        for _, kind, edge, vertex, mask, nxt in candidates:
-            if nxt in parent:
-                continue
-            parent[nxt] = (mask, DepthStep(kind, edge, vertex))
-            if nxt == target:
-                found = True
-                break
-            next_frontier.append(nxt)
-        frontier = next_frontier
-
-    if not found:
-        raise DomainError("support unreachable; is the graph connected?")
-
-    steps = []
-    mask = target
-    while True:
-        prev, info = parent[mask]
-        if prev is None:
-            start_edge = info
-            break
-        steps.append(info)
-        mask = prev
-    steps.reverse()
+    terminals = frozenset(vertices)
+    adj = [net.neighbors(v) for v in range(net.n)]
+    U = _steiner_set(net, adj, terminals)
+    start, steps = _smallest_walk(adj, net.sorted_edges(), U, terminals)
     return DepthResult(
         target_support=tuple(vertices),
         depth=len(steps),
         witness=tuple(steps),
-        exact=True,
-        start_edge=start_edge,
+        start_edge=start,
     )
 
 

@@ -55,6 +55,8 @@ class QubitNetwork:
             tensor = np.asarray(g, dtype=float)
             if tensor.shape != (3, 3):
                 raise DomainError(f"edge ({i},{j}) coupling tensor is not 3x3")
+            if not np.all(np.isfinite(tensor)):
+                raise DomainError(f"edge ({i},{j}) has non-finite couplings")
             if not np.any(tensor):
                 raise DomainError(f"edge ({i},{j}) has all-zero couplings")
             tensor = tensor.copy()
@@ -220,7 +222,10 @@ def network_from_dict(data: dict) -> QubitNetwork:
             n = int(data["n"])
         except (KeyError, TypeError, ValueError):
             raise ParseError("preset form needs an integer 'n'") from None
-        J = float(data.get("J", 1.0))
+        try:
+            J = float(data.get("J", 1.0))
+        except (TypeError, ValueError):
+            raise ParseError(f"preset 'J' must be a number, got {data['J']!r}") from None
         return _PRESETS[kind](n, J)
     try:
         n = int(data["n"])

@@ -1,9 +1,10 @@
 """Shared builders and independent oracles for the test suite.
 
 The oracles here deliberately avoid the code paths they check: matrix
-comparisons go through numpy/scipy primitives on dense matrices, and the
+comparisons go through numpy/scipy primitives on dense matrices, the
 string-level depth search walks Pauli strings directly instead of support
-sets.
+sets, and the lexicographic subset search finds depths and witnesses by
+breadth-first search instead of from Steiner trees.
 """
 
 from __future__ import annotations
@@ -85,6 +86,19 @@ def star_full_local(n: int, g: float = 1.0) -> QubitNetwork:
     tensor[2, 2] = g
     edges = {(0, k): tensor.copy() for k in range(1, n)}
     return QubitNetwork(n=n, edges=edges)
+
+
+def grid_graph(rows: int, cols: int, g: float = 1.0) -> QubitNetwork:
+    """rows x cols grid, vertex r*cols + c."""
+    tensor = np.zeros((3, 3))
+    tensor[2, 2] = g
+    edges = {}
+    for v in range(rows * cols):
+        if v % cols + 1 < cols:
+            edges[(v, v + 1)] = tensor.copy()
+        if v + cols < rows * cols:
+            edges[(v, v + cols)] = tensor.copy()
+    return QubitNetwork(n=rows * cols, edges=edges)
 
 
 def random_connected_network(rng, n: int, extra_edges: int = 1,
@@ -171,3 +185,58 @@ def string_depth_oracle(net: QubitNetwork) -> dict[tuple[int, int], int]:
             if (c.word.x_bits, c.word.z_bits) not in dist:
                 assign_orbit(c.word, d + 1)
     return dist
+
+
+def lexicographic_depth_oracle(net: QubitNetwork) -> dict[int, tuple]:
+    """Subset BFS keeping the lexicographically smallest shortest witness.
+
+    Maps every reachable support bitmask to (start_edge, steps), steps as
+    (kind, edge, vertex) tuples with "grow" < "shrink".  Each level's
+    frontier stays in witness order, so ties resolve to the smallest
+    (first step, start edge, remaining steps).  A witness depends only on
+    its own support, so one search serves every support of the graph.
+    """
+    edges = net.sorted_edges()
+
+    def moves(mask):
+        out = []
+        for (u, v) in edges:
+            u_in, v_in = mask >> u & 1, mask >> v & 1
+            if u_in != v_in:
+                w = v if u_in else u
+                out.append((("grow", (u, v), w), mask | (1 << w)))
+        for (u, v) in edges:
+            if mask >> u & 1 and mask >> v & 1:
+                out.append((("shrink", (u, v), u), mask & ~(1 << u)))
+                out.append((("shrink", (u, v), v), mask & ~(1 << v)))
+        return out
+
+    parent: dict[int, tuple] = {}
+    frontier = []
+    for (u, v) in edges:
+        mask = (1 << u) | (1 << v)
+        parent[mask] = (None, (u, v))
+        frontier.append(mask)
+    first_level = True
+    while frontier:
+        candidates = []
+        for idx, mask in enumerate(frontier):
+            for step, nxt in moves(mask):
+                key = (step, idx) if first_level else (idx, step)
+                candidates.append((key, step, mask, nxt))
+        candidates.sort(key=lambda c: c[0])
+        first_level = False
+        frontier = []
+        for _, step, mask, nxt in candidates:
+            if nxt not in parent:
+                parent[nxt] = (mask, step)
+                frontier.append(nxt)
+
+    out = {}
+    for target in parent:
+        steps, mask = [], target
+        while parent[mask][0] is not None:
+            mask, step = parent[mask]
+            steps.append(step)
+        out[target] = (parent[mask][1], tuple(reversed(steps)))
+    return out

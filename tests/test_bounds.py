@@ -7,6 +7,7 @@ import pytest
 
 from gatebound import (
     GeneratorSpec,
+    PauliString,
     bound_report,
     cnot_bound,
     commutator_weight,
@@ -56,6 +57,9 @@ class TestGeneratorSpec:
             spec_of((1.0, "X"), (1.0, "XX"))
         with pytest.raises(DomainError):
             GeneratorSpec(())
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                spec_of((bad, "X"))
 
     def test_json_round_trip(self):
         s = spec_of((0.25, "ZZI"), (-1.5, "XYZ"))
@@ -111,6 +115,21 @@ class TestTrotterError:
             min_trotter_steps(XY_SPEC, 0.0)
         with pytest.raises(DomainError):
             trotter_error_bound(XY_SPEC, 0)
+
+    def test_thousands_of_qubits(self):
+        # K = 2*|a_1 a_2| for one anticommuting pair, whatever n is
+        n = 1100
+        s = GeneratorSpec(((0.5, PauliString(n, 1, 0)), (0.25, PauliString(n, 0, 1))))
+        assert commutator_weight(s) == 0.25
+        assert trotter_error_bound(s, 1) == pytest.approx(0.25 / (2 * math.sqrt(2)))
+        assert min_trotter_steps(s, 1e-3) == math.ceil(0.25 / (2 * math.sqrt(2) * 1e-3))
+
+    def test_overflowing_weight_is_a_domain_error(self):
+        s = spec_of((1e300, "XI"), (1e300, "YI"))
+        with pytest.raises(DomainError):
+            commutator_weight(s)
+        with pytest.raises(DomainError):
+            bound_report(s, uniform_chain(2), 0.1)
 
     def test_min_steps_is_minimal(self):
         rng = np.random.default_rng(9)
@@ -206,6 +225,11 @@ class TestBoundReport:
             bound_report(XY_SPEC, net, 0.05)  # n mismatch
         with pytest.raises(DomainError):
             bound_report(spec_of((1.0, "ZZI")), net, 0.0)
+        for eps in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                bound_report(spec_of((1.0, "ZZI")), net, eps)
+            with pytest.raises(DomainError):
+                min_trotter_steps(XY_SPEC, eps)
 
 
 class TestPairSumChain:

@@ -2,10 +2,18 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import gatebound
 from gatebound.cli import main
+from gatebound.pauli import PauliString, format_pauli
 from gatebound.synthesis import load_schedule
 
 THREE_PATH = {
@@ -194,3 +202,76 @@ def test_compare_four_spin_row_wiring(tmp_path):
     assert float(fields[3]) == pytest.approx(2.0)
     assert fields[5] in ("true", "false")
     assert (tmp_path / "p.csv").read_text().startswith("slice,t_start,u_1")
+
+
+def test_depth_payload_has_no_exact_flag(three_path, capsys):
+    assert main(["depth", three_path, "ZZZ"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["depth"] == 1 and "exact" not in data
+
+
+def test_bound_exact_depths_on_100_qubit_chain(tmp_path, capsys):
+    n = 100
+    net = tmp_path / "chain100.json"
+    net.write_text(json.dumps({"preset": "ising_chain", "n": n, "J": 1.0}))
+    rng = np.random.default_rng(100)
+    terms = []
+    for weight in range(2, 7):
+        for _ in range(4):
+            support = rng.choice(n, size=weight, replace=False)
+            mask = sum(1 << int(q) for q in support)
+            terms.append({"coeff": float(rng.uniform(0.1, 1.0)),
+                          "pauli": format_pauli(PauliString(n, mask, 0))})
+    target = tmp_path / "words.json"
+    target.write_text(json.dumps(terms))
+    t0 = time.perf_counter()
+    rc = main(["bound", str(net), str(target), "--epsilon", "0.05",
+               "--exact-depths"])
+    elapsed = time.perf_counter() - t0
+    assert rc == 0
+    data = json.loads(capsys.readouterr().out)
+    assert elapsed < 2.0
+    # on a chain the depth is 2*span - weight - 2, span = qubits between the ends
+    for term, d in zip(terms, data["depths"]):
+        qubits = [q for q, ch in enumerate(term["pauli"]) if ch != "I"]
+        span = qubits[-1] - qubits[0] + 1
+        assert d == 2 * span - len(qubits) - 2
+
+
+@pytest.mark.parametrize("eps", ["nan", "inf", "0", "-0.5"])
+def test_bad_epsilon_is_one_line_error(three_path, zzz_target, eps, capsys):
+    rc = main(["bound", three_path, zzz_target, "--epsilon", eps])
+    assert rc in (2, 3)
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_preset_with_non_numeric_coupling_exit_2(zzz_target, tmp_path):
+    net = tmp_path / "bad_j.json"
+    net.write_text(json.dumps({"preset": "ising_chain", "n": 3, "J": "abc"}))
+    assert main(["bound", str(net), zzz_target, "--epsilon", "0.05"]) == 2
+
+
+def test_huge_coefficients_exit_3(three_path, tmp_path):
+    target = tmp_path / "huge.json"
+    target.write_text(json.dumps([{"coeff": 1e300, "pauli": "XZI"},
+                                  {"coeff": 1e300, "pauli": "ZZI"}]))
+    assert main(["bound", three_path, str(target), "--epsilon", "0.05"]) == 3
+
+
+def test_closed_stdout_pipe_exits_quietly(three_path, zzz_target):
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(gatebound.__file__).resolve().parent.parent))
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to stdout now fails with EPIPE
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "gatebound.cli", "bound", three_path,
+             zzz_target, "--epsilon", "0.05"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+            timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+    assert "BrokenPipeError" not in proc.stderr

@@ -1,15 +1,17 @@
-"""Support-set depth search against the string-level oracle."""
+"""Steiner-tree depth against the subset-search and string-level oracles."""
 
 import numpy as np
 import pytest
 
 from gatebound import PauliString, depth, depth_of_support, depth_upper_bound, max_depth_table
 from gatebound.depth import replay_witness
-from gatebound.errors import DomainError
+from gatebound.errors import DomainError, ResourceLimitError
 from gatebound.pauli import parse_pauli
 
 from helpers import (
     complete_graph,
+    grid_graph,
+    lexicographic_depth_oracle,
     random_connected_network,
     star_full_local,
     string_depth_oracle,
@@ -51,7 +53,7 @@ def test_witness_replay_on_random_networks():
             mask = int(rng.integers(1, 1 << n))
         word = PauliString(n, mask, mask)  # all-Y word with that support
         res = depth(net, word)
-        assert res.exact
+        assert res.depth == len(lexicographic_depth_oracle(net)[mask][1])
         assert replay_witness(res.start_edge, res.witness) == frozenset(word.support)
         assert len(res.witness) == res.depth
 
@@ -144,3 +146,92 @@ def test_star_reduced_model_is_rejected():
 
     with pytest.raises(DomainError):
         depth(star(4), parse_pauli("ZZZZ"))
+
+
+def _oracle_networks():
+    nets = [uniform_chain(n) for n in range(2, 9)]
+    nets += [star_full_local(n) for n in range(3, 9)]
+    nets += [complete_graph(n) for n in range(3, 8)]
+    nets += [grid_graph(2, k) for k in range(2, 5)]
+    rng = np.random.default_rng(59)
+    for _ in range(20):
+        n = int(rng.integers(3, 9))
+        nets.append(random_connected_network(rng, n, extra_edges=int(rng.integers(0, 5))))
+    return nets
+
+
+def _steps(res):
+    return tuple((s.kind, s.edge, s.vertex) for s in res.witness)
+
+
+@pytest.mark.parametrize("net", _oracle_networks())
+def test_steiner_depth_matches_subset_searches(net):
+    oracle = lexicographic_depth_oracle(net)
+    table = max_depth_table(net)
+    is_tree = len(net.edges) == net.n - 1
+    full = (1 << net.n) - 1
+    for mask in range(1 << net.n):
+        if mask.bit_count() < 2:
+            continue
+        support = tuple(q for q in range(net.n) if mask >> q & 1)
+        res = depth_of_support(net, support)
+        start, steps = oracle[mask]
+        assert res.depth == len(steps) == table.support_depth(support), support
+        assert replay_witness(res.start_edge, res.witness) == frozenset(support)
+        assert len(res.witness) == res.depth
+        if is_tree or mask == full:
+            # the minimal Steiner set is unique: same witness step for step
+            assert (res.start_edge, _steps(res)) == (start, steps), support
+
+
+def test_long_chain_end_to_end_support():
+    n = 200
+    res = depth_of_support(uniform_chain(n), (0, n - 1))
+    assert res.depth == 2 * (n - 2) == 396
+    assert replay_witness(res.start_edge, res.witness) == {0, n - 1}
+    assert len(res.witness) == res.depth
+
+
+def _tree_span(net, support):
+    """Vertices on the tree paths from the first terminal to the others."""
+    root = support[0]
+    parent = {root: None}
+    order = [root]
+    for u in order:
+        for w in net.neighbors(u):
+            if w not in parent:
+                parent[w] = u
+                order.append(w)
+    span = set()
+    for t in support:
+        while t is not None and t not in span:
+            span.add(t)
+            t = parent[t]
+    return span
+
+
+def test_random_tree_of_120_qubits():
+    rng = np.random.default_rng(120)
+    net = random_connected_network(rng, 120, extra_edges=0)
+    for weight in (2, 3, 5, 8, 20, 60):
+        support = tuple(sorted(int(q) for q in rng.choice(120, size=weight, replace=False)))
+        res = depth_of_support(net, support)
+        assert res.depth == 2 * len(_tree_span(net, support)) - weight - 2
+        assert res.depth <= depth_upper_bound(net.n)
+        assert replay_witness(res.start_edge, res.witness) == frozenset(support)
+        assert len(res.witness) == res.depth
+
+
+def test_grid_corners_need_an_h_shaped_tree():
+    # the four corners of a 10x10 grid join through 27 edges (an H), so
+    # st = 28 and depth = 2*28 - 4 - 2
+    net = grid_graph(10, 10)
+    res = depth_of_support(net, (0, 9, 90, 99))
+    assert res.depth == 50
+    assert replay_witness(res.start_edge, res.witness) == {0, 9, 90, 99}
+
+
+def test_too_many_support_components_is_a_resource_error():
+    net = grid_graph(2, 30)  # a ladder: not a tree
+    with pytest.raises(ResourceLimitError):
+        depth_of_support(net, tuple(range(0, 30, 2)))

@@ -118,6 +118,8 @@ def test_validation_errors():
         QubitNetwork(n=2, edges={(0, 1): np.zeros((3, 3))})
     with pytest.raises(DomainError):  # no edges
         QubitNetwork(n=2, edges={})
+    with pytest.raises(DomainError):  # NaN coupling
+        QubitNetwork(n=2, edges={(0, 1): np.full((3, 3), np.nan)})
 
 
 def test_json_round_trip(tmp_path):
@@ -141,6 +143,8 @@ def test_preset_shorthand_and_parse_errors(tmp_path):
         network_from_dict({"preset": "nope", "n": 3})
     with pytest.raises(ParseError):
         network_from_dict({"n": 3})
+    with pytest.raises(ParseError):
+        network_from_dict({"preset": "ising_chain", "n": 3, "J": "abc"})
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     with pytest.raises(ParseError):
