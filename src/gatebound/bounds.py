@@ -18,13 +18,13 @@ minimum, block concatenation, and the reduced-control star graph).
 
 from __future__ import annotations
 
-import json
+import dataclasses
 import math
 from dataclasses import dataclass
 
 from .depth import depth_of_support, depth_upper_bound
 from .errors import DomainError, ParseError
-from .network import QubitNetwork, min_coupling
+from .network import QubitNetwork, min_coupling, read_json
 from .pauli import PauliString, commutes, parse_pauli
 
 
@@ -102,12 +102,7 @@ def spec_to_list(spec: GeneratorSpec) -> list:
 
 
 def load_spec(path) -> GeneratorSpec:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON in {path}: {exc}") from None
-    return spec_from_list(data)
+    return spec_from_list(read_json(path))
 
 
 # ---------------------------------------------------------------------------
@@ -136,14 +131,6 @@ def commutator_weight(spec: GeneratorSpec) -> float:
     if not math.isfinite(K):
         raise DomainError("commutator weight overflows; coefficients too large")
     return K
-
-
-def pair_commutator_sum(spec: GeneratorSpec) -> float:
-    """sum_{j>k} |a_j a_k| * ||[B_j, B_k]||  (Hilbert-Schmidt norms).
-
-    Every nonzero ||[B_j, B_k]|| is 2*sqrt(2**n), so this is K*sqrt(2**n).
-    """
-    return commutator_weight(spec) * 2.0 ** (spec.n / 2)
 
 
 def _error_bound(K: float, m: int) -> float:
@@ -220,18 +207,7 @@ class BoundReport:
     j_coupling: float
 
     def to_dict(self) -> dict:
-        return {
-            "coarse_bound": self.coarse_bound,
-            "trotter_bound": self.trotter_bound,
-            "schedule_bound": self.schedule_bound,
-            "per_term_bounds": list(self.per_term_bounds),
-            "commutator_weight": self.commutator_weight,
-            "trotter_steps": self.trotter_steps,
-            "epsilon": self.epsilon,
-            "depths": list(self.depths),
-            "exact_depths": self.exact_depths,
-            "j_coupling": self.j_coupling,
-        }
+        return dataclasses.asdict(self)
 
 
 def term_depths(
@@ -416,19 +392,6 @@ class PolyMembership:
     norm_exponent: float
     scaling_exponent: float | None
     scaling_class: str
-
-    def to_dict(self) -> dict:
-        return {
-            "member": self.member,
-            "n": self.n,
-            "l": self.l,
-            "norm_inf": self.norm_inf,
-            "degree_budget": self.degree_budget,
-            "l_exponent": self.l_exponent,
-            "norm_exponent": self.norm_exponent,
-            "scaling_exponent": self.scaling_exponent,
-            "scaling_class": self.scaling_class,
-        }
 
 
 def poly_membership(spec: GeneratorSpec, degree_budget: float) -> PolyMembership:

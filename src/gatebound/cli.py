@@ -44,15 +44,21 @@ EXIT_VERIFY = 4
 
 
 def _write_output(text: str, path: str | None) -> None:
+    if not text.endswith("\n"):
+        text += "\n"
     if path is None or path == "-":
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         with open(path, "w") as fh:
             fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
+
+
+def _write_json(payload, path: str | None) -> None:
+    try:
+        text = json.dumps(payload, indent=1, allow_nan=False)
+    except ValueError:
+        raise DomainError("result is not finite; inputs too large") from None
+    _write_output(text, path)
 
 
 def _load_inputs(args):
@@ -65,7 +71,7 @@ def cmd_bound(args) -> int:
     net, spec = _load_inputs(args)
     report = bnd.bound_report(spec, net, args.epsilon,
                               use_exact_depths=args.exact_depths)
-    _write_output(json.dumps(report.to_dict(), indent=1), args.output)
+    _write_json(report.to_dict(), args.output)
     return EXIT_OK
 
 
@@ -78,7 +84,7 @@ def cmd_depth(args) -> int:
             "max_depth": table.max_depth,
             "per_weight": {str(w): d for w, d in sorted(table.per_weight.items())},
         }
-        _write_output(json.dumps(payload, indent=1), args.output)
+        _write_json(payload, args.output)
         return EXIT_OK
     if args.pauli is None:
         raise DomainError("give a Pauli word or --table")
@@ -86,7 +92,7 @@ def cmd_depth(args) -> int:
     if word.weight == 1:
         payload = {"pauli": args.pauli, "local": True, "depth": 0,
                    "time_contribution": 0.0}
-        _write_output(json.dumps(payload, indent=1), args.output)
+        _write_json(payload, args.output)
         return EXIT_OK
     result = depth(net, word)
     payload = {
@@ -99,15 +105,14 @@ def cmd_depth(args) -> int:
             for s in result.witness
         ],
     }
-    _write_output(json.dumps(payload, indent=1), args.output)
+    _write_json(payload, args.output)
     return EXIT_OK
 
 
 def cmd_synth(args) -> int:
     net, spec = _load_inputs(args)
     schedule, m = synth.synth_generator(net, spec, args.epsilon)
-    text = json.dumps(synth.schedule_to_dict(schedule), indent=1)
-    _write_output(text, args.output)
+    _write_json(synth.schedule_to_dict(schedule), args.output)
     sys.stderr.write(f"trotter steps m = {m}, "
                      f"total duration = {schedule.total_duration:.6g}\n")
     return EXIT_OK
@@ -117,12 +122,19 @@ def cmd_verify(args) -> int:
     net, spec = _load_inputs(args)
     if args.schedule is not None:
         schedule = synth.load_schedule(args.schedule)
-        m = max(1, bnd.min_trotter_steps(spec, args.epsilon))
+        m = bnd.min_trotter_steps(spec, args.epsilon)
     else:
         schedule, m = synth.synth_generator(net, spec, args.epsilon)
     bound = bnd.run_time_bound(spec, net, args.epsilon, use_exact_depths=True)
     U_target = sim.target_unitary(spec)
     U = sim.unitary_of_schedule(net, schedule)
+    # Rounding in U grows with the repeat count and moves the normalized error
+    # by up to about a quarter of the unitarity defect.  The check below allows
+    # 1e-9 of rounding; past epsilon plus ten times that, give no verdict.
+    defect = sim.unitarity_defect(U)
+    if not defect <= args.epsilon + 1e-8:
+        raise DomainError(f"simulation lost unitarity (defect {defect:.3g}), "
+                          f"so it cannot resolve epsilon {args.epsilon}")
     err = sim.normalized_error(U_target, U)
     infid = sim.gate_infidelity(U_target, U)
     slack = 1e-9 * max(1.0, bound)
@@ -138,7 +150,7 @@ def cmd_verify(args) -> int:
         "gate_infidelity": infid,
         "pass": ok,
     }
-    _write_output(json.dumps(payload, indent=1), args.output)
+    _write_json(payload, args.output)
     return EXIT_OK if ok else EXIT_VERIFY
 
 

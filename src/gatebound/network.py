@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass, field
-from math import pi
+from math import isfinite, pi
 
 import numpy as np
 
@@ -235,10 +235,10 @@ def network_from_dict(data: dict) -> QubitNetwork:
     edges = {}
     for entry in raw_edges:
         try:
-            i, j, g = int(entry["i"]), int(entry["j"]), entry["g"]
+            edge = (int(entry["i"]), int(entry["j"]))
+            edges[edge] = np.asarray(entry["g"], dtype=float)
         except (KeyError, TypeError, ValueError):
             raise ParseError(f"malformed edge entry {entry!r}") from None
-        edges[(i, j)] = np.asarray(g, dtype=float)
     omega = data.get("omega")
     model = data.get("control_model", "full_local")
     return QubitNetwork(n=n, edges=edges, omega=omega, control_model=model)
@@ -256,10 +256,22 @@ def network_to_dict(net: QubitNetwork) -> dict:
     }
 
 
-def load_network(path) -> QubitNetwork:
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not isfinite(value):  # NaN, Infinity, or a literal such as 1e999
+        raise ValueError(f"number {text} is not finite")
+    return value
+
+
+def read_json(path):
+    """Contents of a JSON file; unreadable content is a ``ParseError``."""
     with open(path) as fh:
         try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
+            return json.load(fh, parse_float=_finite_float,
+                             parse_constant=_finite_float)
+        except ValueError as exc:  # bad syntax, bad encoding, over-long integers
             raise ParseError(f"invalid JSON in {path}: {exc}") from None
-    return network_from_dict(data)
+
+
+def load_network(path) -> QubitNetwork:
+    return network_from_dict(read_json(path))

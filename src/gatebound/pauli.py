@@ -12,7 +12,7 @@ Text form: one uppercase character of ``IXYZ`` per qubit, qubit 0 leftmost.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
+from math import ldexp, sqrt
 
 import numpy as np
 
@@ -60,10 +60,6 @@ class PauliString:
         """Sorted qubits carrying a non-identity factor."""
         occ = self.x_bits | self.z_bits
         return tuple(i for i in range(self.n) if occ >> i & 1)
-
-    @property
-    def support_mask(self) -> int:
-        return self.x_bits | self.z_bits
 
     @property
     def is_identity(self) -> bool:
@@ -197,7 +193,11 @@ def hs_norm_commutator(p: PauliString, q: PauliString) -> float:
     _check_same_n(p, q)
     if commutes(p, q):
         return 0.0
-    return 2.0 * sqrt(2.0 ** p.n)
+    half, odd = divmod(p.n, 2)
+    try:
+        return ldexp(sqrt(2.0) if odd else 1.0, half + 1)
+    except OverflowError:
+        raise DomainError(f"the commutator norm on {p.n} qubits overflows a float") from None
 
 
 def to_matrix(p: PauliString, max_qubits: int = MAX_DENSE_QUBITS) -> np.ndarray:

@@ -72,7 +72,8 @@ def axis_rotation(n: int, qubit: int, axis, angle: float) -> np.ndarray:
 def unitary_of_schedule(
     net: QubitNetwork, schedule, max_qubits: int = MAX_SIM_QUBITS
 ) -> np.ndarray:
-    """Ordered product of primitive exponentials (first primitive acts first)."""
+    """Ordered product of primitive exponentials (first primitive acts first),
+    raised to the schedule's repeat count."""
     from .synthesis import LocalRotation, TwoBodyEvolution
 
     _check_cap(schedule.n, max_qubits)
@@ -100,7 +101,10 @@ def unitary_of_schedule(
         else:
             raise DomainError(f"unknown primitive {prim!r}")
         U = step @ U
-    return U
+    # a huge repeat count can overflow the rounding of U into inf/nan, which
+    # unitarity_defect then reports; no warning is needed on the way
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.linalg.matrix_power(U, schedule.repeat)
 
 
 def drift_matrix(net: QubitNetwork, max_qubits: int = MAX_SIM_QUBITS) -> np.ndarray:

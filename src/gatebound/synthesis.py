@@ -11,8 +11,9 @@ A weight-w word is produced by a conjugation ladder along a shortest
 grow/shrink witness: a core two-body rotation of angle |a| wrapped in one
 pair of pi/4 two-body conjugators per witness step.  Each conjugator pair
 costs at most pi/(2*J), so a depth-D word costs at most (D*pi/2 + |a|)/J.
-Multi-term generators run the term-by-term product m times with angles
-a_i/m, where m comes from the first-order product-formula error bound.
+A multi-term generator's schedule is one term-by-term pass with angles
+a_i/m, stored once and run m times (``Schedule.repeat``), where m comes
+from the first-order product-formula error bound.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from .bounds import GeneratorSpec, min_trotter_steps
 from .depth import DepthResult, GROW, depth as witness_depth
 from .errors import DomainError, ParseError
-from .network import AXES, QubitNetwork, edge_best_coupling
+from .network import AXES, QubitNetwork, read_json
 from .pauli import PauliString, commutator, multiply, two_body
 
 _UNIT = {"x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0), "z": (0.0, 0.0, 1.0)}
@@ -78,18 +79,27 @@ class TwoBodyEvolution:
 
 @dataclass(frozen=True)
 class Schedule:
-    """Ordered control primitives; the first primitive acts first."""
+    """Ordered control primitives, run ``repeat`` times in a row; the first
+    primitive acts first."""
 
     n: int
     primitives: tuple
+    repeat: int = 1
+
+    def __post_init__(self):
+        # bool is an int subclass, but True is not a repetition count
+        if type(self.repeat) is not int or self.repeat < 1:
+            raise DomainError(f"repeat must be an integer >= 1, got {self.repeat!r}")
 
     @property
     def total_duration(self) -> float:
-        return sum(p.duration for p in self.primitives)
+        return self.repeat * sum(p.duration for p in self.primitives)
 
     def __add__(self, other: "Schedule") -> "Schedule":
         if self.n != other.n:
             raise DomainError("cannot concatenate schedules of different sizes")
+        if self.repeat != 1 or other.repeat != 1:
+            raise DomainError("cannot concatenate repeated schedules")
         return Schedule(self.n, self.primitives + other.primitives)
 
 
@@ -113,14 +123,17 @@ def schedule_to_dict(s: Schedule) -> dict:
                           "sign": "+" if p.sign > 0 else "-",
                           "angle": p.angle, "duration": p.duration,
                           "g_used": p.g_used})
-    return {"n": s.n, "total_duration": s.total_duration, "primitives": prims}
+    return {"n": s.n, "repeat": s.repeat, "total_duration": s.total_duration,
+            "primitives": prims}
 
 
 def schedule_from_dict(data: dict) -> Schedule:
+    """Schedule from its JSON form; a missing ``"repeat"`` means one run."""
     try:
         n = int(data["n"])
         raw = data["primitives"]
-    except (KeyError, TypeError, ValueError):
+        repeat = data.get("repeat", 1)
+    except (AttributeError, KeyError, TypeError, ValueError):
         raise ParseError("schedule JSON needs 'n' and 'primitives'") from None
     prims = []
     for entry in raw:
@@ -144,16 +157,14 @@ def schedule_from_dict(data: dict) -> Schedule:
                 raise ParseError(f"unknown primitive kind {kind!r}")
         except (KeyError, TypeError, ValueError, IndexError):
             raise ParseError(f"malformed primitive {entry!r}") from None
-    return Schedule(n, tuple(prims))
+    try:
+        return Schedule(n, tuple(prims), repeat)
+    except DomainError as exc:  # a bad repeat count
+        raise ParseError(str(exc)) from None
 
 
 def load_schedule(path) -> Schedule:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON in {path}: {exc}") from None
-    return schedule_from_dict(data)
+    return schedule_from_dict(read_json(path))
 
 
 def save_schedule(s: Schedule, path) -> None:
@@ -367,9 +378,9 @@ def synth_generator(
 ) -> tuple[Schedule, int]:
     """Schedule for exp(i * sum_i a_i P_i) with normalized error <= epsilon.
 
-    Runs m repetitions of the term-by-term product with angles a_i/m, where
-    m is the smallest step count whose product-formula error bound fits
-    epsilon.  Term order is the input order.
+    One term-by-term pass with angles a_i/m, repeated m times, where m is
+    the smallest step count whose product-formula error bound fits epsilon.
+    Term order is the input order.
     """
     if net.control_model != "full_local":
         raise DomainError("synthesis requires the full_local control model")
@@ -377,13 +388,8 @@ def synth_generator(
         raise DomainError(
             f"generator on {spec.n} qubits does not match network of {net.n}"
         )
-    if epsilon <= 0:
-        raise DomainError("epsilon must be positive")
-    m = max(1, min_trotter_steps(spec, epsilon))
+    m = min_trotter_steps(spec, epsilon)
     one_pass = empty_schedule(net.n)
     for a, word in spec.terms:
         one_pass = one_pass + synth_pauli_term(net, a / m, word)
-    schedule = empty_schedule(net.n)
-    for _ in range(m):
-        schedule = schedule + one_pass
-    return schedule, m
+    return Schedule(net.n, one_pass.primitives, repeat=m), m

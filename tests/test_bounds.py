@@ -23,7 +23,7 @@ from gatebound import (
     trotter_error_bound,
     two_qubit_bound,
 )
-from gatebound.bounds import pair_commutator_sum, spec_from_list, spec_to_list
+from gatebound.bounds import spec_from_list, spec_to_list
 from gatebound.errors import DomainError
 from gatebound.network import ising_chain
 from gatebound.pauli import parse_pauli
@@ -259,7 +259,7 @@ class TestPairSumChain:
             assert total <= step1 + 1e-12
             assert step1 <= step2 + 1e-12
             assert step2 <= step3 + 1e-12
-            assert pair_commutator_sum(s) == pytest.approx(total)
+            assert commutator_weight(s) * math.sqrt(2.0 ** n) == pytest.approx(total)
 
 
 class TestNamedBounds:

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -275,3 +276,82 @@ def test_closed_stdout_pipe_exits_quietly(three_path, zzz_target):
     assert proc.returncode == 0
     assert "Traceback" not in proc.stderr
     assert "BrokenPipeError" not in proc.stderr
+
+
+def _one_line_error(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+    return captured.err
+
+
+def test_huge_repeat_count_synthesizes_and_verifies(three_path, tmp_path, capsys):
+    target = tmp_path / "two.json"
+    target.write_text(json.dumps([{"coeff": 0.5, "pauli": "ZZI"},
+                                  {"coeff": 0.5, "pauli": "XII"}]))
+    out = tmp_path / "schedule.json"
+    t0 = time.perf_counter()
+    assert main(["synth", three_path, str(target), "--epsilon", "1e-9",
+                 "-o", str(out)]) == 0
+    assert main(["verify", three_path, str(target), "--epsilon", "1e-9",
+                 "--schedule", str(out)]) == 0
+    elapsed = time.perf_counter() - t0
+    data = json.loads(capsys.readouterr().out)
+    assert data["pass"] is True and data["trotter_steps"] == 176_776_696
+    assert json.loads(out.read_text())["repeat"] == 176_776_696
+    assert elapsed < 2.0
+
+
+def test_verify_without_unitarity_gives_no_verdict(three_path, tmp_path, capsys):
+    # m = 7.07e14: rounding in the power of the pass unitary swamps epsilon
+    target = tmp_path / "mega.json"
+    target.write_text(json.dumps([{"coeff": 1e6, "pauli": "ZZI"},
+                                  {"coeff": 1e6, "pauli": "XII"}]))
+    assert main(["verify", three_path, str(target), "--epsilon", "1e-3"]) == 3
+    assert "unitarity" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("command", ["bound", "verify"])
+def test_non_finite_results_are_a_domain_error(three_path, tmp_path, capsys, command):
+    target = tmp_path / "big.json"
+    target.write_text(json.dumps([{"coeff": 1e150, "pauli": "ZZI"},
+                                  {"coeff": 1.0, "pauli": "XII"}]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main([command, three_path, str(target), "--epsilon", "1e-9"])
+    assert rc == 3
+    _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("repeat", [0, -1, 2.5, True, "3"])
+def test_bad_repeat_is_a_parse_error(three_path, zzz_target, tmp_path, capsys, repeat):
+    out = tmp_path / "schedule.json"
+    assert main(["synth", three_path, zzz_target, "--epsilon", "0.05", "-o", str(out)]) == 0
+    data = json.loads(out.read_text())
+    data["repeat"] = repeat
+    out.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", three_path, zzz_target, "--epsilon", "0.05",
+                 "--schedule", str(out)]) == 2
+    _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("literal", ["1" * 5000, "NaN", "-Infinity", "1e999"],
+                         ids=["5000-digits", "nan", "-inf", "1e999"])
+@pytest.mark.parametrize("kind", ["net", "target", "schedule"])
+def test_unreadable_number_is_a_parse_error(three_path, zzz_target, tmp_path, capsys,
+                                            kind, literal):
+    paths = {"net": three_path, "target": zzz_target,
+             "schedule": str(tmp_path / "schedule.json")}
+    bad = tmp_path / "bad.json"
+    if kind == "net":
+        bad.write_text(f'{{"preset": "ising_chain", "n": 3, "J": {literal}}}')
+    elif kind == "target":
+        bad.write_text(f'[{{"coeff": {literal}, "pauli": "ZZZ"}}]')
+    else:
+        bad.write_text(f'{{"n": 3, "primitives": [{{"kind": "local", "qubit": 0, '
+                       f'"axis": [1.0, 0.0, 0.0], "angle": {literal}}}]}}')
+    paths[kind] = str(bad)
+    assert main(["verify", paths["net"], paths["target"], "--epsilon", "0.05",
+                 "--schedule", paths["schedule"]]) == 2
+    assert "invalid JSON" in _one_line_error(capsys)

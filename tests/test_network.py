@@ -145,6 +145,8 @@ def test_preset_shorthand_and_parse_errors(tmp_path):
         network_from_dict({"n": 3})
     with pytest.raises(ParseError):
         network_from_dict({"preset": "ising_chain", "n": 3, "J": "abc"})
+    with pytest.raises(ParseError):
+        network_from_dict({"n": 2, "edges": [{"i": 0, "j": 1, "g": "abc"}]})
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     with pytest.raises(ParseError):

@@ -119,6 +119,16 @@ def test_hs_norm_commutator_values():
     assert oracle == pytest.approx(4.0, abs=1e-12)
 
 
+def test_hs_norm_commutator_on_thousands_of_qubits():
+    for n in (1100, 1101):
+        x, z = PauliString(n, 1, 0), PauliString(n, 0, 1)
+        assert hs_norm_commutator(x, z) == pytest.approx(2 * math.sqrt(2) ** n, rel=1e-12)
+        assert hs_norm_commutator(x, x) == 0.0
+    # 2*sqrt(2**2046) = 2**1024 is past the float range
+    with pytest.raises(DomainError):
+        hs_norm_commutator(PauliString(2046, 1, 0), PauliString(2046, 0, 1))
+
+
 def test_hs_norm_membership_invariant():
     rng = np.random.default_rng(2)
     for _ in range(200):

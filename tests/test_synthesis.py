@@ -1,5 +1,6 @@
 """Constructive schedules: exactness, durations, and bound compliance."""
 
+import json
 import math
 
 import numpy as np
@@ -261,3 +262,64 @@ class TestSynthGenerator:
         spec = GeneratorSpec(((1.0, parse_pauli("ZZ")),))
         with pytest.raises(DomainError):
             synth_generator(net, spec, 0.0)
+
+
+class TestRepeatForm:
+    SPEC = GeneratorSpec(((0.6, parse_pauli("ZZI")), (0.4, parse_pauli("XZI"))))
+
+    def test_power_matches_unrolled_product(self):
+        net = uniform_chain(3)
+        for eps in (0.05, 1e-2, 1e-3, 3e-5):
+            schedule, m = synth_generator(net, self.SPEC, eps)
+            assert schedule.repeat == m
+            one_pass = Schedule(3, schedule.primitives)
+            U_pass = unitary_of_schedule(net, one_pass)
+            unrolled = np.eye(8)
+            for _ in range(m):
+                unrolled = U_pass @ unrolled
+            assert np.linalg.norm(unitary_of_schedule(net, schedule) - unrolled) < 1e-12
+        assert m > 5000
+        # the repeat count means the primitives run again, in order
+        three = Schedule(3, schedule.primitives, repeat=3)
+        assert np.linalg.norm(unitary_of_schedule(net, three) - unitary_of_schedule(
+            net, Schedule(3, schedule.primitives * 3))) < 1e-12
+
+    def test_size_does_not_grow_with_m(self):
+        net = uniform_chain(3)
+        coarse, m_coarse = synth_generator(net, self.SPEC, 1e-2)
+        fine, m_fine = synth_generator(net, self.SPEC, 2e-3)
+        assert m_fine >= 4 * m_coarse
+        assert len(coarse.primitives) == len(fine.primitives)
+        size = [len(json.dumps(schedule_to_dict(s))) for s in (coarse, fine)]
+        assert abs(size[0] - size[1]) <= 16  # only the digits of numbers differ
+        assert fine.total_duration == pytest.approx(
+            m_fine * sum(p.duration for p in fine.primitives))
+
+    def test_file_without_repeat_is_one_run(self, tmp_path):
+        net = uniform_chain(3)
+        schedule, m = synth_generator(net, self.SPEC, 0.05)
+        assert m > 1
+        data = schedule_to_dict(schedule)
+        del data["repeat"]
+        data["primitives"] = data["primitives"] * m
+        path = tmp_path / "unrolled.json"
+        path.write_text(json.dumps(data))
+        unrolled = load_schedule(path)
+        assert unrolled.repeat == 1 and len(unrolled.primitives) == m * len(schedule.primitives)
+        assert unrolled.total_duration == pytest.approx(schedule.total_duration)
+        assert np.linalg.norm(unitary_of_schedule(net, unrolled)
+                              - unitary_of_schedule(net, schedule)) < 1e-12
+
+    def test_bad_repeat_is_rejected(self):
+        for bad in (0, -1, 2.5, True, "3"):
+            with pytest.raises(DomainError):
+                Schedule(2, (), repeat=bad)
+
+    def test_concatenating_repeated_schedules_raises(self):
+        rot = Schedule(2, (LocalRotation(0, (0.0, 0.0, 1.0), 0.3),))
+        looped = Schedule(2, rot.primitives, repeat=2)
+        assert (rot + rot).primitives == rot.primitives * 2
+        with pytest.raises(DomainError):
+            rot + looped
+        with pytest.raises(DomainError):
+            looped + rot
