@@ -180,8 +180,8 @@ def optimize(
     remaining restarts are skipped after a success.  Non-convergence is a
     reported outcome, not an error.
     """
-    if T <= 0:
-        raise DomainError("T must be positive")
+    if not (math.isfinite(T) and T > 0):
+        raise DomainError(f"T must be finite and positive, got {T}")
     if N < 1 or restarts < 1:
         raise DomainError("need N >= 1 and restarts >= 1")
     if tol <= 0:

@@ -1,9 +1,11 @@
-"""Dense verification oracle: exact unitaries and the two error metrics.
+"""Verification: exact unitaries and the two error metrics.
 
-Every generator handled here is i times a Hermitian matrix, so matrix
-exponentials are computed from eigendecompositions (or from the closed
-form cos + i*sin for involutory generators) and are exact to machine
-precision; no series truncation is involved anywhere.
+Schedules are simulated qubit-locally: each primitive acts on U through its
+own one or two qubit axes, never as a 2**n x 2**n matrix.  Targets and drift
+Hamiltonians are dense Pauli sums; exp(iH) comes from an eigendecomposition,
+independent of the schedule simulation.  Every exponential is exact to
+machine precision (cos + i*sin for involutory generators); no series
+truncation is involved anywhere.
 """
 
 from __future__ import annotations
@@ -13,10 +15,13 @@ import math
 import numpy as np
 
 from .errors import DimensionError, DomainError, ResourceLimitError
-from .network import AXES, QubitNetwork
-from .pauli import PauliString, single, to_matrix, two_body
+from .network import AXES, QubitNetwork, edge_best_coupling
+from .pauli import single, to_matrix, two_body
+from .synthesis import LocalRotation, TwoBodyEvolution
 
 MAX_SIM_QUBITS = 10
+
+_PAULI = {name: to_matrix(single(1, 0, name)) for name in AXES}
 
 
 def _check_cap(n: int, max_qubits: int) -> None:
@@ -42,65 +47,48 @@ def expi_hermitian(H: np.ndarray) -> np.ndarray:
     return (vecs * np.exp(1j * vals)) @ vecs.conj().T
 
 
-def word_rotation(word: PauliString, angle: float, sign: int = 1) -> np.ndarray:
-    """exp(i*sign*angle*W) for a phase-0 word W; exact since W**2 = I."""
-    if word.phase_exp != 0:
-        raise DomainError("rotation words must carry phase 0")
-    M = to_matrix(word)
-    dim = M.shape[0]
-    return math.cos(angle) * np.eye(dim) + 1j * sign * math.sin(angle) * M
-
-
-def axis_rotation(n: int, qubit: int, axis, angle: float) -> np.ndarray:
-    """exp(-i*angle*(axis . sigma)) on one qubit, embedded on n qubits.
-
-    ``axis`` must be a unit 3-vector, so the generator squares to the
-    identity and the closed form is exact.
-    """
-    ax = np.asarray(axis, dtype=float)
-    norm = np.linalg.norm(ax)
-    if not math.isclose(norm, 1.0, rel_tol=0, abs_tol=1e-9):
-        raise DomainError(f"rotation axis must be a unit vector, |axis| = {norm}")
-    dim = 2 ** n
-    A = np.zeros((dim, dim), dtype=complex)
-    for component, name in zip(ax, AXES):
-        if component != 0.0:
-            A += component * to_matrix(single(n, qubit, name))
-    return math.cos(angle) * np.eye(dim) - 1j * math.sin(angle) * A
+def _on_qubit(U: np.ndarray, q: int, G: np.ndarray) -> np.ndarray:
+    """G (2 x 2) applied to qubit q of U from the left, qubit 0 leftmost."""
+    return (G @ U.reshape(2 ** q, 2, -1)).reshape(U.shape)
 
 
 def unitary_of_schedule(
     net: QubitNetwork, schedule, max_qubits: int = MAX_SIM_QUBITS
 ) -> np.ndarray:
     """Ordered product of primitive exponentials (first primitive acts first),
-    raised to the schedule's repeat count."""
-    from .synthesis import LocalRotation, TwoBodyEvolution
-
+    raised to the schedule's repeat count.  A local rotation is a 2 x 2
+    matrix on its qubit; exp(i*sign*angle*s_a s_b) applies to U as
+    cos(angle)*U + i*sign*sin(angle)*(s_a on i)(s_b on j)*U."""
     _check_cap(schedule.n, max_qubits)
     if schedule.n != net.n:
         raise DimensionError(
             f"schedule on {schedule.n} qubits does not match network of {net.n}"
         )
-    dim = 2 ** schedule.n
-    U = np.eye(dim, dtype=complex)
+    n = schedule.n
+    U = np.eye(2 ** n, dtype=complex)
     for prim in schedule.primitives:
         if isinstance(prim, LocalRotation):
-            step = axis_rotation(schedule.n, prim.qubit, prim.axis, prim.angle)
+            ax = np.asarray(prim.axis, dtype=float)
+            norm = np.linalg.norm(ax)
+            if not math.isclose(norm, 1.0, rel_tol=0, abs_tol=1e-9):
+                raise DomainError(f"rotation axis must be a unit vector, |axis| = {norm}")
+            if not 0 <= prim.qubit < n:
+                raise DomainError(f"qubit {prim.qubit} outside 0..{n - 1}")
+            A = sum(c * _PAULI[name] for c, name in zip(ax, AXES))
+            G = math.cos(prim.angle) * np.eye(2) - 1j * math.sin(prim.angle) * A
+            U = _on_qubit(U, prim.qubit, G)
         elif isinstance(prim, TwoBodyEvolution):
-            from .network import edge_best_coupling
-
             best = edge_best_coupling(net, prim.edge)  # raises on unknown edges
             if not math.isclose(abs(prim.g_used), best, rel_tol=1e-9, abs_tol=0.0):
                 raise DomainError(
                     f"evolution claims coupling {prim.g_used} on edge "
                     f"{prim.edge}, but the strongest native entry is {best}"
                 )
-            word = two_body(schedule.n, prim.edge[0], prim.alpha,
-                            prim.edge[1], prim.beta)
-            step = word_rotation(word, prim.angle, sign=prim.sign)
+            (i, j), angle = prim.edge, prim.angle
+            PU = _on_qubit(_on_qubit(U, j, _PAULI[prim.beta]), i, _PAULI[prim.alpha])
+            U = math.cos(angle) * U + (1j * prim.sign * math.sin(angle)) * PU
         else:
             raise DomainError(f"unknown primitive {prim!r}")
-        U = step @ U
     # a huge repeat count can overflow the rounding of U into inf/nan, which
     # unitarity_defect then reports; no warning is needed on the way
     with np.errstate(over="ignore", invalid="ignore"):
@@ -135,11 +123,18 @@ def normalized_error(U: np.ndarray, V: np.ndarray) -> float:
 
 
 def gate_infidelity(U: np.ndarray, V: np.ndarray) -> float:
-    """1 - |tr(U^dagger V)| / 2**n; invariant under global phases."""
+    """1 - |tr(U^dagger V)| / (||U||_HS ||V||_HS); invariant under global
+    phases.
+
+    For unitaries the norms multiply to 2**n.  Normalizing by the norms
+    themselves keeps the value in [0, 1] (Cauchy-Schwarz) when rounding has
+    left U or V off unitary, as after a long repeat; the cap at 1 absorbs
+    the last rounding of the ratio itself.
+    """
     if U.shape != V.shape:
         raise DimensionError(f"shape mismatch {U.shape} vs {V.shape}")
-    dim = U.shape[0]
-    return float(1.0 - abs(np.trace(U.conj().T @ V)) / dim)
+    overlap = abs(np.vdot(U, V))  # = |tr(U^dagger V)|
+    return float(1.0 - min(overlap / (np.linalg.norm(U) * np.linalg.norm(V)), 1.0))
 
 
 def unitarity_defect(U: np.ndarray) -> float:

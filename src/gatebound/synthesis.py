@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .bounds import GeneratorSpec, min_trotter_steps
 from .depth import DepthResult, GROW, depth as witness_depth
@@ -358,19 +358,22 @@ def synth_pauli_term(net: QubitNetwork, a: float, word: PauliString) -> Schedule
     core = select_two_body(net, core_edge, alpha, beta,
                            1 if a_core > 0 else -1, abs(a_core))
 
-    schedule = empty_schedule(net.n)
     wraps = []
     for q in conjugators:
         u, v = min(q.support), max(q.support)
         la, lb = _word_edge_labels(q, (u, v))
-        wraps.append(((u, v), la, lb))
-    # time order: outermost wrap first, then inner wraps, core, and unwinds
-    for (edge, la, lb) in reversed(wraps):
-        schedule = schedule + select_two_body(net, edge, la, lb, 1, math.pi / 4)
-    schedule = schedule + core
-    for (edge, la, lb) in wraps:
-        schedule = schedule + select_two_body(net, edge, la, lb, -1, math.pi / 4)
-    return schedule
+        wraps.append(select_two_body(net, (u, v), la, lb, 1, math.pi / 4).primitives)
+    # time order: outermost wrap first, then inner wraps, core, and unwinds;
+    # each unwind is the exact inverse of its wrap
+    prims = sum(reversed(wraps), ()) + core.primitives
+    prims += sum((_inverse(w) for w in wraps), ())
+    return Schedule(net.n, prims)
+
+
+def _inverse(primitives: tuple) -> tuple:
+    """Primitives whose product is exactly the inverse of the given ones'."""
+    return tuple(replace(p, angle=-p.angle) if isinstance(p, LocalRotation)
+                 else replace(p, sign=-p.sign) for p in reversed(primitives))
 
 
 def synth_generator(

@@ -1,7 +1,7 @@
 """Shared builders and independent oracles for the test suite.
 
 The oracles here deliberately avoid the code paths they check: matrix
-comparisons go through numpy/scipy primitives on dense matrices, the
+comparisons go through numpy/scipy primitives on dense Kronecker forms, the
 string-level depth search walks Pauli strings directly instead of support
 sets, and the lexicographic subset search finds depths and witnesses by
 breadth-first search instead of from Steiner trees.
@@ -9,6 +9,7 @@ breadth-first search instead of from Steiner trees.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 
 import numpy as np
@@ -29,6 +30,15 @@ def kron_word(text: str) -> np.ndarray:
     for ch in text:
         out = np.kron(out, SINGLE[ch])
     return out
+
+
+def word_rotation(word: PauliString, angle: float, sign: int = 1) -> np.ndarray:
+    """exp(i*sign*angle*W) for a phase-0 word W on its Kronecker form; exact
+    since W**2 = I."""
+    if word.phase_exp != 0:
+        raise ValueError("rotation words must carry phase 0")
+    M = kron_word(str(word))
+    return math.cos(angle) * np.eye(M.shape[0]) + 1j * sign * math.sin(angle) * M
 
 
 def all_strings(n: int, min_weight: int = 0):

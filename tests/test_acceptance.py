@@ -11,7 +11,6 @@ import pytest
 
 import gatebound as gb
 from gatebound.pauli import parse_pauli
-from gatebound.simulator import word_rotation
 
 from helpers import (
     complete_graph,
@@ -21,6 +20,7 @@ from helpers import (
     star_full_local,
     string_depth_oracle,
     uniform_chain,
+    word_rotation,
 )
 
 

@@ -165,6 +165,20 @@ def test_scan_csv(tmp_path):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize("argv", [["grape", "--time", "nan"], ["grape", "--time", "inf"],
+                                  ["scan", "--times", "1,nan"]],
+                         ids=["grape-nan", "grape-inf", "scan-nan"])
+def test_non_finite_duration_is_one_line_error(tmp_path, capsys, argv):
+    net = tmp_path / "net2.json"
+    net.write_text(json.dumps({"preset": "ising_chain", "n": 2, "J": 1.0}))
+    target = tmp_path / "t.json"
+    target.write_text(json.dumps([{"coeff": 0.7, "pauli": "ZZ"}]))
+    rc = main([argv[0], str(net), str(target), *argv[1:], "--slices", "8",
+               "--restarts", "1", "--max-iters", "10", "--seed", "2"])
+    assert rc == 3
+    assert "finite" in _one_line_error(capsys)
+
+
 def test_ci_mode_requires_seed(tmp_path):
     net = tmp_path / "net2.json"
     net.write_text(json.dumps({"preset": "ising_chain", "n": 2, "J": 1.0}))
@@ -300,6 +314,17 @@ def test_huge_repeat_count_synthesizes_and_verifies(three_path, tmp_path, capsys
     assert data["pass"] is True and data["trotter_steps"] == 176_776_696
     assert json.loads(out.read_text())["repeat"] == 176_776_696
     assert elapsed < 2.0
+
+
+def test_long_repeat_infidelity_is_not_negative(three_path, tmp_path, capsys):
+    # m = 176,776,696: the rounded power is slightly off unitary
+    target = tmp_path / "two.json"
+    target.write_text(json.dumps([{"coeff": 0.5, "pauli": "ZZI"},
+                                  {"coeff": 0.5, "pauli": "XII"}]))
+    assert main(["verify", three_path, str(target), "--epsilon", "1e-9"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["trotter_steps"] == 176_776_696
+    assert 0.0 <= data["gate_infidelity"] < 1e-9
 
 
 def test_verify_without_unitarity_gives_no_verdict(three_path, tmp_path, capsys):

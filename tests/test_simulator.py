@@ -1,4 +1,4 @@
-"""Dense simulator against independent matrix oracles."""
+"""Qubit-local schedule simulator against independent dense matrix oracles."""
 
 import cmath
 import math
@@ -14,18 +14,18 @@ from gatebound import (
     target_unitary,
     unitary_of_schedule,
 )
-from gatebound.errors import DimensionError, ResourceLimitError
+from gatebound.errors import DimensionError, DomainError, ResourceLimitError
 from gatebound.pauli import parse_pauli
-from gatebound.simulator import (
-    axis_rotation,
-    drift_matrix,
-    unitarity_defect,
-    word_rotation,
-    write_matrix_text,
-)
-from gatebound.synthesis import Schedule, TwoBodyEvolution, empty_schedule
+from gatebound.simulator import drift_matrix, unitarity_defect, write_matrix_text
+from gatebound.synthesis import LocalRotation, Schedule, TwoBodyEvolution, empty_schedule
 
-from helpers import kron_word, random_spec, uniform_chain
+from helpers import (
+    kron_word,
+    random_connected_network,
+    random_spec,
+    uniform_chain,
+    word_rotation,
+)
 
 
 def haar_unitary(rng, dim):
@@ -85,7 +85,8 @@ class TestScheduleUnitary:
             axis = rng.normal(size=3)
             axis /= np.linalg.norm(axis)
             theta = float(rng.uniform(-3, 3))
-            U = axis_rotation(2, 1, tuple(axis), theta)
+            s = Schedule(2, (LocalRotation(1, tuple(axis), theta),))
+            U = unitary_of_schedule(uniform_chain(2), s)
             G = sum(c * kron_word("I" + w) for c, w in zip(axis, "XYZ"))
             assert np.linalg.norm(U - scipy.linalg.expm(-1j * theta * G)) < 1e-12
 
@@ -95,12 +96,88 @@ class TestScheduleUnitary:
             unitary_of_schedule(net, empty_schedule(2))
 
     def test_rejects_unrealizable_coupling(self):
-        from gatebound.errors import DomainError
-
         net = uniform_chain(2, g=1.0)
         s = Schedule(2, (TwoBodyEvolution((0, 1), "z", "z", 1, 0.5, 7.0),))
         with pytest.raises(DomainError):
             unitary_of_schedule(net, s)
+
+    @pytest.mark.parametrize("prim", [
+        LocalRotation(0, (1.0, 1.0, 0.0), 0.3),   # not a unit axis
+        LocalRotation(2, (1.0, 0.0, 0.0), 0.3),   # qubit outside 0..1
+        LocalRotation(-1, (1.0, 0.0, 0.0), 0.3),
+        TwoBodyEvolution((0, 2), "z", "z", 1, 0.3, 1.0),  # no such edge
+        "not a primitive",
+    ])
+    def test_rejects_bad_primitives(self, prim):
+        with pytest.raises(DomainError):
+            unitary_of_schedule(uniform_chain(2), Schedule(2, (prim,)))
+
+
+def _random_schedule(rng, net):
+    """Every two-body axis pair with both signs once, in random order, on
+    random edges and orientations, each after a random local rotation."""
+    edges = net.sorted_edges()
+    pairs = [(a, b, s) for a in "xyz" for b in "xyz" for s in (1, -1)]
+    prims = []
+    for k in rng.permutation(len(pairs)):
+        alpha, beta, sign = pairs[k]
+        axis = rng.normal(size=3)
+        axis /= np.linalg.norm(axis)
+        prims.append(LocalRotation(int(rng.integers(net.n)), tuple(axis),
+                                   float(rng.uniform(-3, 3))))
+        u, v = edges[int(rng.integers(len(edges)))]
+        if rng.random() < 0.5:
+            u, v = v, u
+        g_used = float(np.max(np.abs(net.edge_tensor((u, v))))) * rng.choice([-1, 1])
+        prims.append(TwoBodyEvolution((u, v), alpha, beta, sign,
+                                      float(rng.uniform(0, 3)), g_used))
+    return tuple(prims)
+
+
+def _expm_oracle(n, primitives, repeat):
+    """Ordered product of scipy expm over Kronecker-built generators."""
+    U = np.eye(2 ** n, dtype=complex)
+    for prim in primitives:
+        if isinstance(prim, LocalRotation):
+            G = sum(c * kron_word("".join(w if q == prim.qubit else "I"
+                                          for q in range(n)))
+                    for c, w in zip(prim.axis, "XYZ"))
+            step = scipy.linalg.expm(-1j * prim.angle * G)
+        else:
+            labels = ["I"] * n
+            labels[prim.edge[0]] = prim.alpha.upper()
+            labels[prim.edge[1]] = prim.beta.upper()
+            step = scipy.linalg.expm(1j * prim.sign * prim.angle * kron_word("".join(labels)))
+        U = step @ U
+    out = np.eye(2 ** n, dtype=complex)
+    for _ in range(repeat):
+        out = U @ out
+    return out
+
+
+class TestQubitLocalKernel:
+    def test_random_schedules_match_expm_product(self):
+        rng = np.random.default_rng(404)
+        for n in range(2, 7):
+            for trial in range(3):
+                net = random_connected_network(rng, n, extra_edges=1,
+                                               entries_per_edge=int(rng.integers(1, 4)))
+                prims = _random_schedule(rng, net)
+                repeat = int(rng.integers(1, 4)) if trial else 3
+                U = unitary_of_schedule(net, Schedule(n, prims, repeat=repeat))
+                assert np.linalg.norm(U - _expm_oracle(n, prims, repeat)) < 1e-12
+
+    def test_no_dense_embedding_per_primitive(self, monkeypatch):
+        import gatebound.simulator as sim
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("to_matrix called while simulating a schedule")
+
+        net = uniform_chain(8)
+        prims = _random_schedule(np.random.default_rng(8), net)
+        monkeypatch.setattr(sim, "to_matrix", refuse)
+        U = unitary_of_schedule(net, Schedule(8, prims, repeat=2))
+        assert U.shape == (256, 256) and unitarity_defect(U) < 1e-12
 
 
 class TestErrorMetrics:
@@ -137,6 +214,17 @@ class TestErrorMetrics:
             f = gate_infidelity(U, V)
             assert -1e-12 <= e <= math.sqrt(2) + 1e-12
             assert -1e-12 <= f <= 1 + 1e-12
+
+    def test_infidelity_stays_in_unit_interval_off_unitarity(self):
+        # a rounded long repeat is slightly off unitary; |tr(U^dagger V)|
+        # over 2**n could then pass 1, the norm-normalized overlap cannot
+        rng = np.random.default_rng(9)
+        for _ in range(200):
+            dim = int(2 ** rng.integers(1, 6))
+            U = haar_unitary(rng, dim)
+            V = U * cmath.exp(1j * rng.uniform(0, 2 * math.pi)) * (1 + rng.uniform(0, 1e-6))
+            assert 0.0 <= gate_infidelity(U, V) <= 1e-15
+            assert 0.0 <= gate_infidelity(U, haar_unitary(rng, dim)) <= 1.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):

@@ -41,6 +41,19 @@ from gatebound.synthesis import (
 from helpers import kron_word, random_connected_network, random_spec, random_word, uniform_chain
 
 
+def _undo(primitives):
+    """The primitives that run the given ones backwards: reversed order,
+    negated local angles, flipped two-body signs."""
+    out = []
+    for p in reversed(primitives):
+        if isinstance(p, LocalRotation):
+            out.append(LocalRotation(p.qubit, p.axis, -p.angle))
+        else:
+            out.append(TwoBodyEvolution(p.edge, p.alpha, p.beta, -p.sign,
+                                        p.angle, p.g_used))
+    return out
+
+
 class TestScheduleType:
     def test_durations(self):
         evo = TwoBodyEvolution((0, 1), "z", "z", 1, math.pi / 4, 2.0)
@@ -201,6 +214,29 @@ class TestSynthPauliTerm:
             d = 0 if word.weight < 2 else depth(net, word).depth
             assert s.total_duration <= single_term_bound(a, d, min_coupling(net)) + 1e-12
 
+    def test_every_unwrap_is_the_inverse_of_its_wrap(self):
+        # the ladder is wraps, core, unwraps: the k-th two-body evolution
+        # from either end, and the local rotations between the k-th and
+        # (k+1)-th from either end, undo each other exactly (the two runs of
+        # rotations next to the core also carry the core's own relabelling)
+        rng = np.random.default_rng(72)
+        checked = 0
+        for _ in range(60):
+            n = int(rng.integers(3, 7))
+            net = random_connected_network(rng, n, extra_edges=int(rng.integers(0, 3)))
+            word = random_word(rng, n, min_weight=2)
+            s = synth_pauli_term(net, float(rng.uniform(-2, 2)), word)
+            prims = list(s.primitives)
+            cuts = [i for i, p in enumerate(prims) if isinstance(p, TwoBodyEvolution)]
+            D = depth(net, word).depth
+            assert len(cuts) == 2 * D + 1
+            runs = [prims[a + 1:b] for a, b in zip([-1] + cuts, cuts + [len(prims)])]
+            for k in range(D):
+                assert [prims[cuts[-1 - k]]] == _undo([prims[cuts[k]]])
+                assert runs[-1 - k] == _undo(runs[k])
+            checked += D
+        assert checked > 60
+
     def test_rejects_bad_inputs(self):
         net = uniform_chain(3)
         with pytest.raises(DomainError):
@@ -323,3 +359,56 @@ class TestRepeatForm:
             rot + looped
         with pytest.raises(DomainError):
             looped + rot
+
+
+def _mp_unitary(primitives, n, repeat):
+    """The schedule's unitary in mpmath at the working precision, from the
+    float angles as stored: cos + i*sin on Kronecker-built words, then the
+    power by repeated squaring."""
+    import mpmath
+
+    def word(labels):
+        return mpmath.matrix(kron_word("".join(labels)).tolist())
+
+    dim = 2 ** n
+    U = mpmath.eye(dim)
+    for p in primitives:
+        theta = mpmath.mpf(p.angle)
+        if isinstance(p, LocalRotation):
+            A = mpmath.zeros(dim)
+            for c, name in zip(p.axis, "XYZ"):
+                A += mpmath.mpf(c) * word([name if q == p.qubit else "I" for q in range(n)])
+            step = mpmath.cos(theta) * mpmath.eye(dim) - 1j * mpmath.sin(theta) * A
+        else:
+            labels = ["I"] * n
+            labels[p.edge[0]], labels[p.edge[1]] = p.alpha.upper(), p.beta.upper()
+            step = (mpmath.cos(theta) * mpmath.eye(dim)
+                    + (1j * p.sign) * mpmath.sin(theta) * word(labels))
+        U = step * U
+    out = mpmath.eye(dim)
+    while repeat:
+        if repeat & 1:
+            out = U * out
+        U = U * U
+        repeat >>= 1
+    return out
+
+
+def test_long_repeat_certificate_holds_in_forty_digits():
+    # a wrap and an unwrap that are not exact inverses leave a per-pass
+    # error that m = 8.5e7 repeats amplify past epsilon (1.1e-8 here)
+    import mpmath
+
+    words = ("ZZI", "XIY", "IYZ", "ZXX")
+    spec = GeneratorSpec(tuple((0.3, parse_pauli(w)) for w in words))
+    eps = 3e-9
+    schedule, m = synth_generator(uniform_chain(3), spec, eps)
+    assert m > 8e7
+    with mpmath.workdps(40):
+        U = _mp_unitary(schedule.primitives, 3, schedule.repeat)
+        H = mpmath.zeros(8)
+        for w in words:
+            H += mpmath.mpf(0.3) * mpmath.matrix(kron_word(w).tolist())
+        V = mpmath.expm(1j * H)
+        err = mpmath.mnorm(U - V, "f") / mpmath.sqrt(16)
+        assert err <= eps
