@@ -23,6 +23,7 @@ an explicit ``--seed``.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import os
@@ -174,8 +175,6 @@ def cmd_grape(args) -> int:
     net, spec = _load_inputs(args)
     U_target = sim.target_unitary(spec)
     pulses = grape.optimize(net, U_target, args.time, **_grape_kwargs(args))
-    import io
-
     buf = io.StringIO()
     grape.write_pulse_csv(pulses, buf)
     _write_output(buf.getvalue(), args.output)
@@ -195,8 +194,6 @@ def cmd_scan(args) -> int:
     except ValueError:
         raise ParseError(f"cannot parse time list {args.times!r}") from None
     rows = grape.time_scan(net, U_target, times, **_grape_kwargs(args))
-    import io
-
     buf = io.StringIO()
     grape.write_scan_csv(rows, buf)
     _write_output(buf.getvalue(), args.output)
@@ -334,10 +331,7 @@ def main(argv=None) -> int:
         # so the interpreter's last flush does not raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return code
-    except ParseError as exc:
-        sys.stderr.write(f"parse error: {exc}\n")
-        return EXIT_PARSE
-    except FileNotFoundError as exc:
+    except (ParseError, FileNotFoundError) as exc:
         sys.stderr.write(f"parse error: {exc}\n")
         return EXIT_PARSE
     except DomainError as exc:

@@ -67,17 +67,11 @@ def control_operators(net: QubitNetwork) -> list[np.ndarray]:
         raise ResourceLimitError(
             f"pulse optimization capped at {MAX_GRAPE_QUBITS} qubits"
         )
-    ops = []
     if net.control_model == "full_local":
-        for q in range(net.n):
-            ops.append(to_matrix(single(net.n, q, "x")))
-            ops.append(to_matrix(single(net.n, q, "y")))
+        terms = [(q, a) for q in range(net.n) for a in "xy"]
     else:  # star_reduced: hub is qubit 0
-        ops.append(to_matrix(single(net.n, 0, "x")))
-        ops.append(to_matrix(single(net.n, 0, "y")))
-        for q in range(1, net.n):
-            ops.append(to_matrix(single(net.n, q, "z")))
-    return ops
+        terms = [(0, "x"), (0, "y")] + [(q, "z") for q in range(1, net.n)]
+    return [to_matrix(single(net.n, q, a)) for q, a in terms]
 
 
 def _slice_propagators(H0, Hk, amplitudes, dt):

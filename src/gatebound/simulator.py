@@ -58,7 +58,9 @@ def unitary_of_schedule(
     """Ordered product of primitive exponentials (first primitive acts first),
     raised to the schedule's repeat count.  A local rotation is a 2 x 2
     matrix on its qubit; exp(i*sign*angle*s_a s_b) applies to U as
-    cos(angle)*U + i*sign*sin(angle)*(s_a on i)(s_b on j)*U."""
+    cos(angle)*U + i*sign*sin(angle)*(s_a on i)(s_b on j)*U.  The local
+    rotations a qubit receives between two-body evolutions on it are
+    multiplied into one 2 x 2 before they touch U."""
     _check_cap(schedule.n, max_qubits)
     if schedule.n != net.n:
         raise DimensionError(
@@ -66,29 +68,40 @@ def unitary_of_schedule(
         )
     n = schedule.n
     U = np.eye(2 ** n, dtype=complex)
+    pending = {}  # qubit -> product of its local rotations not yet applied
     for prim in schedule.primitives:
         if isinstance(prim, LocalRotation):
-            ax = np.asarray(prim.axis, dtype=float)
-            norm = np.linalg.norm(ax)
-            if not math.isclose(norm, 1.0, rel_tol=0, abs_tol=1e-9):
-                raise DomainError(f"rotation axis must be a unit vector, |axis| = {norm}")
+            norm = math.hypot(*prim.axis)
+            if len(prim.axis) != 3 or not math.isclose(norm, 1.0, rel_tol=0, abs_tol=1e-9):
+                raise DomainError(f"rotation axis must be a unit 3-vector, got {prim.axis}")
             if not 0 <= prim.qubit < n:
                 raise DomainError(f"qubit {prim.qubit} outside 0..{n - 1}")
-            A = sum(c * _PAULI[name] for c, name in zip(ax, AXES))
-            G = math.cos(prim.angle) * np.eye(2) - 1j * math.sin(prim.angle) * A
-            U = _on_qubit(U, prim.qubit, G)
+            (x, y, z), c, s = prim.axis, math.cos(prim.angle), math.sin(prim.angle)
+            # cos(angle)*I - i*sin(angle)*(x*X + y*Y + z*Z)
+            G = np.array([[c - 1j * s * z, -s * (y + 1j * x)],
+                          [s * (y - 1j * x), c + 1j * s * z]])
+            before = pending.get(prim.qubit)
+            pending[prim.qubit] = G if before is None else G @ before
         elif isinstance(prim, TwoBodyEvolution):
             best = edge_best_coupling(net, prim.edge)  # raises on unknown edges
-            if not math.isclose(abs(prim.g_used), best, rel_tol=1e-9, abs_tol=0.0):
+            g = net.edge_tensor(prim.edge)
+            # the drift term g*s_a s_b only ever runs as exp(-i*t*g*s_a s_b)
+            if (not np.isclose(g[np.abs(g) == best], prim.g_used, rtol=1e-9, atol=0.0).any()
+                    or prim.sign != (-1 if prim.g_used > 0 else 1)):
                 raise DomainError(
-                    f"evolution claims coupling {prim.g_used} on edge "
-                    f"{prim.edge}, but the strongest native entry is {best}"
-                )
+                    f"evolution claims sign {prim.sign:+d} on coupling {prim.g_used} "
+                    f"of edge {prim.edge}, but the drift runs its strongest "
+                    f"entries, +-{best}, with sign -sgn(g) only")
             (i, j), angle = prim.edge, prim.angle
+            for q in (i, j):
+                if q in pending:
+                    U = _on_qubit(U, q, pending.pop(q))
             PU = _on_qubit(_on_qubit(U, j, _PAULI[prim.beta]), i, _PAULI[prim.alpha])
             U = math.cos(angle) * U + (1j * prim.sign * math.sin(angle)) * PU
         else:
             raise DomainError(f"unknown primitive {prim!r}")
+    for q, G in pending.items():
+        U = _on_qubit(U, q, G)
     # a huge repeat count can overflow the rounding of U into inf/nan, which
     # unitarity_defect then reports; no warning is needed on the way
     with np.errstate(over="ignore", invalid="ignore"):
@@ -123,18 +136,16 @@ def normalized_error(U: np.ndarray, V: np.ndarray) -> float:
 
 
 def gate_infidelity(U: np.ndarray, V: np.ndarray) -> float:
-    """1 - |tr(U^dagger V)| / (||U||_HS ||V||_HS); invariant under global
-    phases.
+    """1 - min(|tr(U^dagger V)| / 2**n, 1); invariant under global phases.
 
-    For unitaries the norms multiply to 2**n.  Normalizing by the norms
-    themselves keeps the value in [0, 1] (Cauchy-Schwarz) when rounding has
-    left U or V off unitary, as after a long repeat; the cap at 1 absorbs
-    the last rounding of the ratio itself.
+    The overlap ratio is at most 1 for unitaries; the cap keeps the value
+    at or above 0 when rounding has left U or V off unitary, as after a
+    long repeat.
     """
     if U.shape != V.shape:
         raise DimensionError(f"shape mismatch {U.shape} vs {V.shape}")
     overlap = abs(np.vdot(U, V))  # = |tr(U^dagger V)|
-    return float(1.0 - min(overlap / (np.linalg.norm(U) * np.linalg.norm(V)), 1.0))
+    return float(1.0 - min(overlap / U.shape[0], 1.0))
 
 
 def unitarity_defect(U: np.ndarray) -> float:

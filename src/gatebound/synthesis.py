@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .bounds import GeneratorSpec, min_trotter_steps
 from .depth import DepthResult, GROW, depth as witness_depth
@@ -32,6 +32,8 @@ _UNIT = {"x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0), "z": (0.0, 0.0, 1.0)}
 # Levi-Civita sign eps[a][b] such that s_a s_b = i*eps*s_c for distinct axes
 _EPS = {("x", "y"): 1, ("y", "z"): 1, ("z", "x"): 1,
         ("y", "x"): -1, ("z", "y"): -1, ("x", "z"): -1}
+# pi/2 - float(pi/2), to within 1e-33: the rounding a float pi/2 leaves out
+_HALF_PI_LO = math.cos(math.pi / 2)
 
 
 @dataclass(frozen=True)
@@ -52,7 +54,8 @@ class TwoBodyEvolution:
     """Timed evolution exp(i*sign*angle*s_alpha s_beta) on one edge.
 
     ``duration = angle / |g_used|`` with g_used the native coupling the
-    evolution runs on (the strongest entry of the edge tensor).
+    evolution runs on (the strongest entry of the edge tensor); the drift
+    runs it forward only, so sign = -sgn(g_used).
     """
 
     edge: tuple[int, int]
@@ -183,13 +186,7 @@ def _axis_map_rotation(qubit: int, source: str, target: str, eta: int):
     ``pre`` is its inverse.  Empty lists when nothing needs doing.
     """
     if source == target:
-        if eta > 0:
-            return [], []
-        # flip the sign by a pi rotation about some orthogonal axis
-        other = next(a for a in AXES if a != source)
-        rot = LocalRotation(qubit, _UNIT[other], math.pi / 2)
-        inv = LocalRotation(qubit, _UNIT[other], -math.pi / 2)
-        return [inv], [rot]
+        return ([], []) if eta > 0 else _flip(qubit, source, (math.pi / 2,))
     third = next(a for a in AXES if a not in (source, target))
     # exp(-i*t*s_third) s_source exp(i*t*s_third) = -i*sin(2t)*s_third*s_source
     # at t = +-pi/4; s_third s_source = i*eps*s_target
@@ -199,16 +196,19 @@ def _axis_map_rotation(qubit: int, source: str, target: str, eta: int):
     return [inv], [rot]
 
 
+def _flip(qubit: int, axis: str, angles: tuple):
+    """(inverse, rotation) lists of a pi rotation about an axis orthogonal to
+    ``axis``, which maps s_axis to -s_axis; ``angles`` sum to pi/2."""
+    other = _UNIT[next(a for a in AXES if a != axis)]
+    rot = [LocalRotation(qubit, other, t) for t in angles]
+    return [LocalRotation(qubit, other, -t) for t in reversed(angles)], rot
+
+
 def _native_coupling(net: QubitNetwork, edge: tuple[int, int]):
     """Strongest entry of the edge tensor: (alpha, beta, signed value)."""
     g = net.edge_tensor(edge)
-    best = None
-    for a, aname in enumerate(AXES):
-        for b, bname in enumerate(AXES):
-            v = g[a, b]
-            if best is None or abs(v) > abs(best[2]):
-                best = (aname, bname, float(v))
-    return best
+    a, b = max(((a, b) for a in range(3) for b in range(3)), key=lambda ab: abs(g[ab]))
+    return AXES[a], AXES[b], float(g[a, b])
 
 
 def select_two_body(
@@ -241,11 +241,8 @@ def select_two_body(
                            sign=native_sign, angle=k, g_used=g0)
     # need R s_a0 s_b0 R^dagger = tau * s_alpha s_beta with
     # native_sign * tau = sign
-    tau = sign * native_sign
-    eta_u = 1
-    eta_v = tau
-    pre_u, post_u = _axis_map_rotation(u, a0, alpha, eta_u)
-    pre_v, post_v = _axis_map_rotation(v, b0, beta, eta_v)
+    pre_u, post_u = _axis_map_rotation(u, a0, alpha, 1)
+    pre_v, post_v = _axis_map_rotation(v, b0, beta, sign * native_sign)
     prims = tuple(pre_u + pre_v) + (evo,) + tuple(post_u + post_v)
     return Schedule(net.n, prims)
 
@@ -363,17 +360,21 @@ def synth_pauli_term(net: QubitNetwork, a: float, word: PauliString) -> Schedule
         u, v = min(q.support), max(q.support)
         la, lb = _word_edge_labels(q, (u, v))
         wraps.append(select_two_body(net, (u, v), la, lb, 1, math.pi / 4).primitives)
-    # time order: outermost wrap first, then inner wraps, core, and unwinds;
-    # each unwind is the exact inverse of its wrap
+    # time order: outermost wrap first, then inner wraps, core, and unwinds
     prims = sum(reversed(wraps), ()) + core.primitives
-    prims += sum((_inverse(w) for w in wraps), ())
+    prims += sum((_unwrap(w) for w in wraps), ())
     return Schedule(net.n, prims)
 
 
-def _inverse(primitives: tuple) -> tuple:
-    """Primitives whose product is exactly the inverse of the given ones'."""
-    return tuple(replace(p, angle=-p.angle) if isinstance(p, LocalRotation)
-                 else replace(p, sign=-p.sign) for p in reversed(primitives))
+def _unwrap(wrap: tuple) -> tuple:
+    """The inverse of a wrap R E R^dagger as R (F E F^dagger) R^dagger: the
+    wrap's own rotations R and native evolution E, turned backwards by a pi
+    flip F (F s_b F^dagger = -s_b).  Only F differs from the wrap, so its
+    angle is split into float pi/2 and _HALF_PI_LO to make it exact."""
+    k = next(i for i, p in enumerate(wrap) if isinstance(p, TwoBodyEvolution))
+    evo = wrap[k]
+    f_inv, f = _flip(evo.edge[1], evo.beta, (math.pi / 2, _HALF_PI_LO))
+    return wrap[:k] + tuple(f_inv) + (evo,) + tuple(f) + wrap[k + 1:]
 
 
 def synth_generator(

@@ -57,6 +57,15 @@ class TestControlOperators:
         ops = control_operators(net)
         assert len(ops) == 5 + 1  # x/y on the hub, z on each of 4 leaves
 
+    def test_star_reduced_content(self):
+        from helpers import kron_word
+
+        words = ["XIII", "YIII", "IZII", "IIZI", "IIIZ"]
+        ops = control_operators(star(4))
+        assert len(ops) == len(words)
+        for op, w in zip(ops, words):
+            assert np.array_equal(op, kron_word(w))
+
     def test_qubit_cap(self):
         with pytest.raises(ResourceLimitError):
             control_operators(uniform_chain(9))

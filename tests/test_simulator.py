@@ -9,6 +9,7 @@ import scipy.linalg
 
 from gatebound import (
     GeneratorSpec,
+    QubitNetwork,
     gate_infidelity,
     normalized_error,
     target_unitary,
@@ -70,8 +71,9 @@ class TestScheduleUnitary:
         assert np.array_equal(unitary_of_schedule(net, empty_schedule(2)), np.eye(4))
 
     def test_single_two_body_evolution(self):
-        net = uniform_chain(2)
-        s = Schedule(2, (TwoBodyEvolution((0, 1), "z", "z", 1, math.pi / 4, 1.0),))
+        # the drift -ZZ runs forward as exp(+i*t*ZZ)
+        net = uniform_chain(2, g=-1.0)
+        s = Schedule(2, (TwoBodyEvolution((0, 1), "z", "z", 1, math.pi / 4, -1.0),))
         U = unitary_of_schedule(net, s)
         oracle = scipy.linalg.expm(1j * math.pi / 4 * kron_word("ZZ"))
         assert np.linalg.norm(U - oracle) < 1e-12
@@ -103,9 +105,12 @@ class TestScheduleUnitary:
 
     @pytest.mark.parametrize("prim", [
         LocalRotation(0, (1.0, 1.0, 0.0), 0.3),   # not a unit axis
+        LocalRotation(0, (1.0, 0.0), 0.3),        # not a 3-vector
         LocalRotation(2, (1.0, 0.0, 0.0), 0.3),   # qubit outside 0..1
         LocalRotation(-1, (1.0, 0.0, 0.0), 0.3),
-        TwoBodyEvolution((0, 2), "z", "z", 1, 0.3, 1.0),  # no such edge
+        TwoBodyEvolution((0, 2), "z", "z", -1, 0.3, 1.0),  # no such edge
+        TwoBodyEvolution((0, 1), "z", "z", 1, 0.3, 1.0),   # drift +ZZ run backwards
+        TwoBodyEvolution((0, 1), "z", "z", 1, 0.3, -1.0),  # no -ZZ drift on the edge
         "not a primitive",
     ])
     def test_rejects_bad_primitives(self, prim):
@@ -113,9 +118,25 @@ class TestScheduleUnitary:
             unitary_of_schedule(uniform_chain(2), Schedule(2, (prim,)))
 
 
+def _signed_network(rng, n):
+    """Random connected network whose every edge carries its strongest
+    coupling 2.0 with both signs, on two random axis pairs."""
+    net = random_connected_network(rng, n, extra_edges=1,
+                                   entries_per_edge=int(rng.integers(1, 4)))
+    edges = {}
+    for edge, g in net.edges.items():
+        g = g.copy()
+        plus, minus = rng.choice(9, size=2, replace=False)
+        g.flat[plus], g.flat[minus] = 2.0, -2.0
+        edges[edge] = g
+    return QubitNetwork(n=n, edges=edges)
+
+
 def _random_schedule(rng, net):
     """Every two-body axis pair with both signs once, in random order, on
-    random edges and orientations, each after a random local rotation."""
+    random edges and orientations, each after a random local rotation.
+    Each evolution runs on a strongest native coupling with the sign its
+    drift gives."""
     edges = net.sorted_edges()
     pairs = [(a, b, s) for a in "xyz" for b in "xyz" for s in (1, -1)]
     prims = []
@@ -128,7 +149,7 @@ def _random_schedule(rng, net):
         u, v = edges[int(rng.integers(len(edges)))]
         if rng.random() < 0.5:
             u, v = v, u
-        g_used = float(np.max(np.abs(net.edge_tensor((u, v))))) * rng.choice([-1, 1])
+        g_used = -sign * float(np.max(np.abs(net.edge_tensor((u, v)))))
         prims.append(TwoBodyEvolution((u, v), alpha, beta, sign,
                                       float(rng.uniform(0, 3)), g_used))
     return tuple(prims)
@@ -160,8 +181,7 @@ class TestQubitLocalKernel:
         rng = np.random.default_rng(404)
         for n in range(2, 7):
             for trial in range(3):
-                net = random_connected_network(rng, n, extra_edges=1,
-                                               entries_per_edge=int(rng.integers(1, 4)))
+                net = _signed_network(rng, n)
                 prims = _random_schedule(rng, net)
                 repeat = int(rng.integers(1, 4)) if trial else 3
                 U = unitary_of_schedule(net, Schedule(n, prims, repeat=repeat))
@@ -173,8 +193,9 @@ class TestQubitLocalKernel:
         def refuse(*args, **kwargs):
             raise AssertionError("to_matrix called while simulating a schedule")
 
-        net = uniform_chain(8)
-        prims = _random_schedule(np.random.default_rng(8), net)
+        rng = np.random.default_rng(8)
+        net = _signed_network(rng, 8)
+        prims = _random_schedule(rng, net)
         monkeypatch.setattr(sim, "to_matrix", refuse)
         U = unitary_of_schedule(net, Schedule(8, prims, repeat=2))
         assert U.shape == (256, 256) and unitarity_defect(U) < 1e-12
@@ -217,7 +238,7 @@ class TestErrorMetrics:
 
     def test_infidelity_stays_in_unit_interval_off_unitarity(self):
         # a rounded long repeat is slightly off unitary; |tr(U^dagger V)|
-        # over 2**n could then pass 1, the norm-normalized overlap cannot
+        # over 2**n can then pass 1, and the cap keeps the value at 0
         rng = np.random.default_rng(9)
         for _ in range(200):
             dim = int(2 ** rng.integers(1, 6))
