@@ -4,8 +4,12 @@ The propagator over N slices of length dt is the ordered product of
 exp(-i*dt*(H0 + sum_k u[j,k]*H_k)); the cost is the phase-invariant gate
 infidelity 1 - |tr(Ug^dagger U(T))| / 2**n.  Gradients are exact: each
 slice exponential is differentiated through its eigendecomposition
-(divided-difference form), not by a small-dt approximation, so they match
-finite differences to solver precision.
+H_j = V_j diag(lambda) V_j^dagger (divided differences Gamma_j of
+exp(-i*dt*x)), not by a small-dt approximation, so they match finite
+differences to solver precision.  A forward and a backward product
+recursion give each slice's cofactor M_j; every derivative is then
+tr(G_j H_k) with G_j = V_j ((V_j^dagger M_j V_j) o Gamma_j) V_j^dagger,
+one matrix product over all slices and controls.
 
 Control operators follow the network's control model: x and y on every
 qubit for ``full_local``; x and y on the hub plus z on every leaf for
@@ -26,6 +30,7 @@ from .pauli import single, to_matrix
 from .simulator import drift_matrix
 
 MAX_GRAPE_QUBITS = 8
+MAX_GRAPE_ENTRIES = 64 * 4**MAX_GRAPE_QUBITS  # N * 4**n; one such array is 64 MB
 
 DEFAULT_SLICES = 64
 DEFAULT_RESTARTS = 10
@@ -49,10 +54,9 @@ class PulseSet:
     def __post_init__(self):
         if self.T <= 0 or self.N < 1:
             raise DomainError("need T > 0 and N >= 1")
-        amps = np.asarray(self.amplitudes, dtype=float)
+        amps = np.array(self.amplitudes, dtype=float)
         if amps.ndim != 2 or amps.shape[0] != self.N:
             raise DomainError(f"amplitudes must be N x C with N = {self.N}")
-        amps = amps.copy()
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
@@ -74,11 +78,23 @@ def control_operators(net: QubitNetwork) -> list[np.ndarray]:
     return [to_matrix(single(net.n, q, a)) for q, a in terms]
 
 
+def _check_size(N: int, dim: int) -> None:
+    if N * dim * dim > MAX_GRAPE_ENTRIES:
+        raise ResourceLimitError(f"{N} slices of {dim} x {dim} exceed the "
+                                 f"pulse optimization cap of {MAX_GRAPE_ENTRIES} entries")
+
+
+def _check_time(T) -> None:
+    if not (math.isfinite(T) and T > 0):
+        raise DomainError(f"T must be finite and positive, got {T}")
+
+
 def _slice_propagators(H0, Hk, amplitudes, dt):
     """Eigendecompose every slice Hamiltonian and build its exponential.
 
     Returns (Us, vals, vecs) with Us[j] = exp(-i*dt*H_j).
     """
+    _check_size(len(amplitudes), H0.shape[0])
     H = H0[None, :, :] + np.tensordot(amplitudes, Hk, axes=(1, 0))
     vals, vecs = np.linalg.eigh(H)
     phases = np.exp(-1j * dt * vals)
@@ -90,10 +106,8 @@ def propagate(net: QubitNetwork, pulses: PulseSet) -> np.ndarray:
     """Total propagator of the pulse set (slice 0 acts first)."""
     Hk = control_operators(net)
     if pulses.amplitudes.shape[1] != len(Hk):
-        raise DomainError(
-            f"pulse set has {pulses.amplitudes.shape[1]} controls, "
-            f"network provides {len(Hk)}"
-        )
+        raise DomainError(f"pulse set has {pulses.amplitudes.shape[1]} controls, "
+                          f"network provides {len(Hk)}")
     H0 = drift_matrix(net)
     Us, _, _ = _slice_propagators(H0, np.array(Hk), pulses.amplitudes, pulses.dt)
     U = np.eye(H0.shape[0], dtype=complex)
@@ -104,41 +118,40 @@ def propagate(net: QubitNetwork, pulses: PulseSet) -> np.ndarray:
 
 def _infidelity_and_gradient(H0, Hk, U_target, amplitudes, dt):
     """Gate infidelity and its exact gradient w.r.t. every amplitude."""
-    N = amplitudes.shape[0]
-    dim = H0.shape[0]
+    N, dim = len(amplitudes), len(H0)
     Us, vals, vecs = _slice_propagators(H0, Hk, amplitudes, dt)
 
-    forward = np.empty((N + 1, dim, dim), dtype=complex)
-    forward[0] = np.eye(dim)
-    for j in range(N):
-        forward[j + 1] = Us[j] @ forward[j]
-    backward = np.empty((N + 1, dim, dim), dtype=complex)
-    backward[N] = np.eye(dim)
+    # F[j] = U_{j-1}...U_0 and Q[j] = Ug^dagger U_{N-1}...U_j: z = tr Q[0],
+    # and M_j = F[j] Q[j+1] is slice j's cofactor, dz = tr(M_j dU_j)
+    F = np.empty((N, dim, dim), dtype=complex)
+    F[0] = np.eye(dim)
+    for j in range(N - 1):
+        np.matmul(Us[j], F[j], out=F[j + 1])
+    Q = np.empty((N + 1, dim, dim), dtype=complex)
+    Q[N] = U_target.conj().T
     for j in range(N - 1, -1, -1):
-        backward[j] = backward[j + 1] @ Us[j]
+        np.matmul(Q[j + 1], Us[j], out=Q[j])
 
-    z = np.trace(U_target.conj().T @ forward[N])
+    z = np.trace(Q[0])
     infid = 1.0 - abs(z) / dim
     if abs(z) == 0.0:
         return infid, np.zeros_like(amplitudes)
 
-    # divided differences of f(x) = exp(-i*dt*x) over eigenvalue pairs,
-    # smooth through degeneracies via the sinc form
-    diff = vals[:, :, None] - vals[:, None, :]
-    mean = 0.5 * (vals[:, :, None] + vals[:, None, :])
-    gamma = -1j * dt * np.exp(-1j * dt * mean) * np.sinc(dt * diff / (2 * math.pi))
-
-    # K[j,k] = V_j^dagger H_k V_j ;  A[j] = V_j^dagger M_j V_j with
-    # M_j = forward[j] Ug^dagger backward[j+1]; then
-    # dz[j,k] = tr(M_j dU_j/du_k) = sum_ab (A_j^T * gamma_j)_ab K[j,k]_ab
+    # G_j = V_j (A_j o Gamma_j) V_j^dagger with A_j = V_j^dagger M_j V_j and
+    # Gamma_ab = -i*dt*h_a*h_b*sin(y)/y, y = dt*(l_a-l_b)/2, h = exp(-i*dt*l/2)
+    # (smooth through degeneracies), scaled by conj(z)/(dim*|z|) for d(|z|/dim)
+    h = np.exp(-0.5j * dt * vals)
     Vh = vecs.conj().swapaxes(-1, -2)
-    K = Vh[:, None] @ Hk[None] @ vecs[:, None]
-    M = forward[:-1] @ U_target.conj().T @ backward[1:]
-    A = Vh @ M @ vecs
-    weights = A.swapaxes(-1, -2) * gamma
-    dz = (weights[:, None, :, :] * K).sum(axis=(-1, -2))
-
-    grad = -np.real(np.conj(z) * dz) / (dim * abs(z))
+    G = np.matmul(F, Q[1:])
+    np.matmul(Vh, G, out=F)
+    np.matmul(F, vecs, out=G)
+    G *= np.sinc(dt / (2 * math.pi) * (vals[:, :, None] - vals[:, None, :]))
+    G *= (-1j * dt * np.conj(z) / (dim * abs(z)) * h)[:, :, None] * h[:, None, :]
+    np.matmul(vecs, G, out=F)
+    np.matmul(F, Vh, out=G)
+    # Re tr(G_j H_k) for Hermitian H_k is the dot product of the two as real vectors
+    Hk = np.ascontiguousarray(Hk, dtype=complex)
+    grad = -(G.view(float).reshape(N, -1) @ Hk.view(float).reshape(len(Hk), -1).T)
     return infid, grad
 
 
@@ -174,21 +187,18 @@ def optimize(
     remaining restarts are skipped after a success.  Non-convergence is a
     reported outcome, not an error.
     """
-    if not (math.isfinite(T) and T > 0):
-        raise DomainError(f"T must be finite and positive, got {T}")
-    if N < 1 or restarts < 1:
-        raise DomainError("need N >= 1 and restarts >= 1")
-    if tol <= 0:
-        raise DomainError("tol must be positive")
-    Hk = np.array(control_operators(net))
-    C = len(Hk)
-    H0 = drift_matrix(net)
-    dim = H0.shape[0]
+    _check_time(T)
+    if N < 1 or restarts < 1 or max_iters < 1:
+        raise DomainError("need N, restarts and max_iters >= 1")
+    if not (math.isfinite(tol) and tol > 0):
+        raise DomainError(f"tol must be finite and positive, got {tol}")
+    Hk, H0 = np.array(control_operators(net)), drift_matrix(net)
+    C, dim = len(Hk), len(H0)
+    _check_size(N, dim)
     if U_target.shape != (dim, dim):
         raise DomainError(f"target must be {dim} x {dim}")
     dt = T / N
-    J = min_coupling(net)
-    span = init_scale * J
+    span = init_scale * min_coupling(net)
     bounds = None
     if amplitude_bound is not None:
         bounds = [(-amplitude_bound, amplitude_bound)] * (N * C)
@@ -201,8 +211,7 @@ def optimize(
 
         def objective(x):
             state["evals"] += 1
-            amps = x.reshape(N, C)
-            f, g = _infidelity_and_gradient(H0, Hk, U_target, amps, dt)
+            f, g = _infidelity_and_gradient(H0, Hk, U_target, x.reshape(N, C), dt)
             if f < state["best_f"]:
                 state["best_f"] = f
                 state["best_x"] = x.copy()
@@ -224,15 +233,8 @@ def optimize(
             break
 
     infid, r, x, evals = best
-    return PulseSet(
-        T=T,
-        N=N,
-        amplitudes=x.reshape(N, C),
-        achieved_infidelity=float(infid),
-        iterations=evals,
-        seed=seed,
-        restart_index=r,
-    )
+    return PulseSet(T=T, N=N, amplitudes=x.reshape(N, C), iterations=evals,
+                    achieved_infidelity=float(infid), seed=seed, restart_index=r)
 
 
 @dataclass(frozen=True)
@@ -244,16 +246,14 @@ class ScanRow:
 
 
 def time_scan(net: QubitNetwork, U_target: np.ndarray, T_list, **kwargs) -> list[ScanRow]:
-    """One optimize run per duration; rows are CSV-ready."""
+    """One optimize run per duration, all checked before the first; rows are CSV-ready."""
+    for T in T_list:
+        _check_time(T)
     rows = []
     for T in T_list:
         pulses = optimize(net, U_target, T, **kwargs)
-        rows.append(ScanRow(
-            T=float(T),
-            best_infidelity=pulses.achieved_infidelity,
-            iterations=pulses.iterations,
-            restart_index=pulses.restart_index,
-        ))
+        rows.append(ScanRow(float(T), pulses.achieved_infidelity, pulses.iterations,
+                            pulses.restart_index))
     return rows
 
 

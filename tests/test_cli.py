@@ -179,6 +179,50 @@ def test_non_finite_duration_is_one_line_error(tmp_path, capsys, argv):
     assert "finite" in _one_line_error(capsys)
 
 
+@pytest.mark.parametrize("flags", [["--tol", "nan"], ["--tol", "inf"], ["--tol", "0"],
+                                   ["--max-iters", "0"], ["--max-iters", "-5"]],
+                         ids=["tol-nan", "tol-inf", "tol-0", "iters-0", "iters-neg"])
+@pytest.mark.parametrize("command", [["grape", "--time", "1.0"],
+                                     ["scan", "--times", "0.5,1.0"]],
+                         ids=["grape", "scan"])
+def test_bad_stopping_rule_is_one_line_error(tmp_path, capsys, command, flags):
+    net = tmp_path / "net2.json"
+    net.write_text(json.dumps({"preset": "ising_chain", "n": 2, "J": 1.0}))
+    target = tmp_path / "t.json"
+    target.write_text(json.dumps([{"coeff": 0.7, "pauli": "ZZ"}]))
+    rc = main([command[0], str(net), str(target), *command[1:], "--slices", "8",
+               "--restarts", "1", "--seed", "2", *flags])
+    assert rc == 3
+    assert "domain error" in _one_line_error(capsys)
+
+
+def test_huge_slice_count_is_refused_before_allocating(tmp_path, capsys):
+    net = tmp_path / "net2.json"
+    net.write_text(json.dumps({"preset": "ising_chain", "n": 2, "J": 1.0}))
+    target = tmp_path / "t.json"
+    target.write_text(json.dumps([{"coeff": 0.7, "pauli": "ZZ"}]))
+    start = time.perf_counter()
+    rc = main(["grape", str(net), str(target), "--time", "1.0",
+               "--slices", "100000000", "--seed", "1"])
+    assert time.perf_counter() - start < 1.0
+    assert rc == 3
+    assert "cap" in _one_line_error(capsys)
+
+
+def test_scan_checks_every_time_before_optimizing(tmp_path, capsys):
+    # 3-spin ZZZ with the default slices and restarts: T = 0.5 alone takes
+    # seconds, so a rejection within 1 s means no optimization ran
+    net = tmp_path / "net3.json"
+    net.write_text(json.dumps({"preset": "ising_chain", "n": 3, "J": 1.0}))
+    target = tmp_path / "t.json"
+    target.write_text(json.dumps([{"coeff": -math.pi / 4, "pauli": "ZZZ"}]))
+    start = time.perf_counter()
+    rc = main(["scan", str(net), str(target), "--times", "0.5,nan", "--seed", "1"])
+    assert time.perf_counter() - start < 1.0
+    assert rc == 3
+    assert "finite" in _one_line_error(capsys)
+
+
 def test_ci_mode_requires_seed(tmp_path):
     net = tmp_path / "net2.json"
     net.write_text(json.dumps({"preset": "ising_chain", "n": 2, "J": 1.0}))

@@ -19,6 +19,7 @@ from gatebound import (
     target_unitary,
     time_scan,
 )
+from gatebound import grape
 from gatebound.errors import DomainError, ResourceLimitError
 from gatebound.grape import (
     PulseSet,
@@ -39,6 +40,46 @@ def make_pulses(rng, T, N, C, scale=3.0):
 
 
 ZZZ_TARGET = target_unitary(GeneratorSpec(((-math.pi / 4, parse_pauli("ZZZ")),)))
+ZZZZ_TARGET = target_unitary(GeneratorSpec(((-math.pi / 4, parse_pauli("ZZZZ")),)))
+
+
+def central_differences(H0, Hk, target, amps, dt, h=1e-6):
+    fd = np.zeros_like(amps)
+    for j in range(amps.shape[0]):
+        for k in range(amps.shape[1]):
+            up, dn = amps.copy(), amps.copy()
+            up[j, k] += h
+            dn[j, k] -= h
+            fd[j, k] = (_infidelity_and_gradient(H0, Hk, target, up, dt)[0]
+                        - _infidelity_and_gradient(H0, Hk, target, dn, dt)[0]) / (2 * h)
+    return fd
+
+
+def frechet_gradient(H0, Hk, target, amps, dt):
+    """Independent oracle: d|tr(Ug^dagger U)|/du from scipy's Frechet
+    derivative of expm, with the slice products formed one at a time."""
+    dim = H0.shape[0]
+    Us = [scipy.linalg.expm(-1j * dt * (H0 + np.tensordot(a, Hk, axes=(0, 0))))
+          for a in amps]
+    total = np.eye(dim, dtype=complex)
+    for U in Us:
+        total = U @ total
+    z = np.trace(target.conj().T @ total)
+    grad = np.zeros_like(amps)
+    for j in range(len(Us)):
+        before = np.eye(dim, dtype=complex)
+        for U in Us[:j]:
+            before = U @ before
+        after = np.eye(dim, dtype=complex)
+        for U in Us[j + 1:]:
+            after = U @ after
+        H = H0 + np.tensordot(amps[j], Hk, axes=(0, 0))
+        for k in range(len(Hk)):
+            dU = scipy.linalg.expm_frechet(-1j * dt * H, -1j * dt * Hk[k],
+                                           compute_expm=False)
+            dz = np.trace(target.conj().T @ after @ dU @ before)
+            grad[j, k] = -np.real(np.conj(z) * dz) / (dim * abs(z))
+    return grad
 
 
 class TestControlOperators:
@@ -111,26 +152,51 @@ class TestPropagate:
 
 class TestGradient:
     def test_matches_central_finite_differences(self):
-        net = ising_chain(3, J=1.0)
-        rng = np.random.default_rng(101)
+        # x/y on every Ising spin, the star's hub x/y and leaf z controls,
+        # and x/y on four Heisenberg spins
+        cases = [(ising_chain(3, J=1.0), ZZZ_TARGET, 16, 5),
+                 (star(4), ZZZZ_TARGET, 12, 3),
+                 (heisenberg_chain(4, J=1.0), ZZZZ_TARGET, 12, 3)]
+        for net, target, N, configs in cases:
+            rng = np.random.default_rng(101)
+            Hk = np.array(control_operators(net))
+            H0 = drift_matrix(net)
+            for _ in range(configs):
+                amps = rng.uniform(-4, 4, (N, len(Hk)))
+                dt = float(rng.uniform(0.02, 0.08))
+                _, g = _infidelity_and_gradient(H0, Hk, target, amps, dt)
+                fd = central_differences(H0, Hk, target, amps, dt)
+                assert np.linalg.norm(g - fd) / np.linalg.norm(fd) < 1e-5
+
+    @pytest.mark.parametrize("net, target", [(ising_chain(3, J=1.0), ZZZ_TARGET),
+                                             (star(4), ZZZZ_TARGET),
+                                             (heisenberg_chain(4, J=1.0), ZZZZ_TARGET)],
+                             ids=["ising3", "star_reduced", "heisenberg4"])
+    def test_matches_frechet_derivative_oracle(self, net, target):
+        rng = np.random.default_rng(107)
         Hk = np.array(control_operators(net))
         H0 = drift_matrix(net)
-        for _ in range(5):
-            amps = rng.uniform(-4, 4, (16, 6))
-            dt = float(rng.uniform(0.02, 0.08))
-            _, g = _infidelity_and_gradient(H0, Hk, ZZZ_TARGET, amps, dt)
-            h = 1e-6
-            fd = np.zeros_like(g)
-            for j in range(16):
-                for k in range(6):
-                    up, dn = amps.copy(), amps.copy()
-                    up[j, k] += h
-                    dn[j, k] -= h
-                    fd[j, k] = (
-                        _infidelity_and_gradient(H0, Hk, ZZZ_TARGET, up, dt)[0]
-                        - _infidelity_and_gradient(H0, Hk, ZZZ_TARGET, dn, dt)[0]
-                    ) / (2 * h)
-            assert np.linalg.norm(g - fd) / np.linalg.norm(fd) < 1e-5
+        amps = rng.uniform(-4, 4, (6, len(Hk)))
+        _, g = _infidelity_and_gradient(H0, Hk, target, amps, 0.07)
+        oracle = frechet_gradient(H0, Hk, target, amps, 0.07)
+        assert np.linalg.norm(g - oracle) / np.linalg.norm(oracle) < 1e-10
+
+    def test_degenerate_spectrum_matches_central_differences(self):
+        # no drift and one x amplitude per slice on every qubit: each slice
+        # Hamiltonian a_j*(XII + IXI + IIX) has eigenvalues a_j*{-3,-1,1,3}
+        # with multiplicities 1, 3, 3, 1, where the sinc form must stay exact
+        net = ising_chain(3, J=1.0)
+        Hk = np.array(control_operators(net))
+        H0 = np.zeros_like(Hk[0])
+        amps = np.zeros((8, len(Hk)))
+        rng = np.random.default_rng(109)
+        amps[:, 0::2] = rng.uniform(-4, 4, (8, 1))
+        R = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+        target = scipy.linalg.expm(-0.5j * (R + R.conj().T))
+        _, g = _infidelity_and_gradient(H0, Hk, target, amps, 0.05)
+        fd = central_differences(H0, Hk, target, amps, 0.05)
+        assert np.linalg.norm(fd[:, 1::2]) > 1e-3  # the y controls matter here
+        assert np.linalg.norm(g - fd) / np.linalg.norm(fd) < 1e-5
 
     def test_zero_gradient_at_perfect_fidelity(self):
         net = ising_chain(2, J=1.0)
@@ -186,6 +252,28 @@ class TestOptimize:
                      max_iters=40, seed=2, amplitude_bound=1.5, init_scale=1.0)
         assert np.all(np.abs(p.amplitudes) <= 1.5 + 1e-12)
 
+    def test_rejects_bad_stopping_rule(self):
+        net = ising_chain(2, J=1.0)
+        target = np.eye(4, dtype=complex)
+        for kwargs in ({"tol": math.nan}, {"tol": math.inf}, {"max_iters": 0},
+                       {"max_iters": -5}):
+            with pytest.raises(DomainError):
+                optimize(net, target, T=1.0, N=4, seed=1, **kwargs)
+
+    def test_size_cap(self, monkeypatch):
+        # N * 4**n above the cap is refused before any slice array exists
+        monkeypatch.setattr(grape, "MAX_GRAPE_ENTRIES", 16 * 16)
+        net = ising_chain(2, J=1.0)
+        target = np.eye(4, dtype=complex)
+        with pytest.raises(ResourceLimitError):
+            optimize(net, target, T=1.0, N=17, seed=1)
+        pulses = make_pulses(np.random.default_rng(1), 1.0, 17, 4)
+        with pytest.raises(ResourceLimitError):
+            propagate(net, pulses)
+        with pytest.raises(ResourceLimitError):
+            gradient(net, pulses, target)
+        propagate(net, make_pulses(np.random.default_rng(1), 1.0, 16, 4))
+
     def test_input_validation(self):
         net = ising_chain(2, J=1.0)
         target = np.eye(4, dtype=complex)
@@ -198,6 +286,15 @@ class TestOptimize:
 
 
 class TestScanAndCsv:
+    def test_scan_checks_every_time_first(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(grape, "optimize", lambda *a, **k: calls.append(a))
+        net = ising_chain(2, J=1.0)
+        for bad in (math.nan, math.inf, 0.0, -1.0):
+            with pytest.raises(DomainError):
+                time_scan(net, np.eye(4, dtype=complex), [0.5, bad])
+        assert calls == []
+
     def test_empty_scan(self):
         net = ising_chain(2, J=1.0)
         assert time_scan(net, np.eye(4, dtype=complex), []) == []
