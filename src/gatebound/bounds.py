@@ -22,10 +22,14 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .depth import depth_of_support, depth_upper_bound
 from .errors import DomainError, ParseError
-from .network import QubitNetwork, min_coupling, read_json
-from .pauli import PauliString, commutes, parse_pauli
+from .network import QubitNetwork, geodesic_distance, min_coupling, read_json
+from .pauli import PauliString, parse_pauli, symplectic_bits
+
+_PAIR_BLOCK = 8192  # pair entries per block of commutator_weight
 
 
 @dataclass(frozen=True)
@@ -123,11 +127,31 @@ def _check_epsilon(epsilon: float) -> None:
 
 
 def commutator_weight(spec: GeneratorSpec) -> float:
-    """K = 2 * sum of |a_j a_k| over the anticommuting pairs j > k."""
-    terms = spec.terms
-    K = 2.0 * sum(abs(aj * ak)
-                  for j, (aj, pj) in enumerate(terms)
-                  for ak, pk in terms[:j] if not commutes(pj, pk))
+    """K = 2 * sum of |a_j a_k| over the anticommuting pairs j > k.
+
+    Parities of x_j.z_k + z_j.x_k come from float matmuls of bit rows [x | z]
+    against bit columns [z | x], in blocks of at most _PAIR_BLOCK pairs below
+    the diagonal (whole rows, or pieces of one row), j ascending.  Each block's
+    odd pairs give |a_j|*|a_k| in row-major order (j, then k < j, ascending),
+    and cumsum after the running total adds them one at a time, so K is
+    bit-identical to the Python loop over the pairs in that order.
+    """
+    l, w = spec.l, np.abs(spec.coefficients)
+    bits = symplectic_bits(spec.words).astype(float)
+    rows, cols = bits.reshape(l, -1), bits.transpose(1, 2, 0)[::-1].reshape(-1, l)
+    total, r0 = 0.0, 1
+    with np.errstate(over="ignore"):
+        while r0 < l:  # rows r0..r1-1, the most h with h*(r0 + h - 1) <= _PAIR_BLOCK
+            h = (math.isqrt((r0 - 1)**2 + 4 * _PAIR_BLOCK) - r0 + 1) // 2
+            r1 = min(r0 + max(h, 1), l)
+            for c0 in range(0, r1 - 1, _PAIR_BLOCK):
+                c1 = min(c0 + _PAIR_BLOCK, r1 - 1)
+                sym = (rows[r0:r1] @ cols[:, c0:c1]).astype(np.int64)
+                keep = (sym & 1 == 1) & (np.arange(c0, c1) < np.arange(r0, r1)[:, None])
+                kept = np.multiply.outer(w[r0:r1], w[c0:c1])[keep]
+                total = np.cumsum(np.concatenate(([total], kept)))[-1]
+            r0 = r1
+    K = 2.0 * float(total)
     if not math.isfinite(K):
         raise DomainError("commutator weight overflows; coefficients too large")
     return K
@@ -216,24 +240,15 @@ def term_depths(
     """Commutator depth per term: 0 for weight-1 words (free local
     rotations), the exact Steiner-tree depth when exact, else the 2*(n-2)
     fallback."""
-    out = []
     fallback = depth_upper_bound(net.n)
-    for _, word in spec.terms:
-        if word.weight < 2:
-            out.append(0)
-        elif exact:
-            out.append(depth_of_support(net, word.support).depth)
-        else:
-            out.append(fallback)
-    return tuple(out)
+    return tuple(0 if word.weight < 2
+                 else depth_of_support(net, word.support).depth if exact
+                 else fallback for word in spec.words)
 
 
 def coarse_time_bound(spec: GeneratorSpec, net: QubitNetwork, epsilon: float) -> float:
     """Closed-form bound l/J * (|a|_inf + pi*l*(l-1)*(n-2)*|a|_inf^2 / (2*sqrt(2)*eps))."""
-    J = min_coupling(net)
-    l = spec.l
-    ai = spec.norm_inf
-    n = net.n
+    J, l, ai, n = min_coupling(net), spec.l, spec.norm_inf, net.n
     return l / J * (ai + math.pi * l * (l - 1) * max(0, n - 2) * ai**2
                     / (2 * math.sqrt(2) * epsilon))
 
@@ -308,8 +323,6 @@ def run_time_bound(
 
 def cnot_bound(net: QubitNetwork, i: int, j: int) -> float:
     """CNOT time bound pi*((d(i,j)-1)/J + 1/(4J)), d the geodesic distance."""
-    from .network import geodesic_distance
-
     if i == j:
         raise DomainError("CNOT needs two distinct qubits")
     J = min_coupling(net)
@@ -360,8 +373,7 @@ def concatenation_bounds(
     l = spec.l
     if l < 2:
         raise DomainError("the generator bound needs at least two terms")
-    T = (T_c * (4 * (2 * n_per_block - 1) + 1) * l**3 * (l - 1)
-         * spec.norm_inf**2 / (2 * math.sqrt(2) * epsilon))
+    T = tau * l**3 * (l - 1) * spec.norm_inf**2 / (2 * math.sqrt(2) * epsilon)
     return tau, T
 
 
@@ -407,8 +419,7 @@ def poly_membership(spec: GeneratorSpec, degree_budget: float) -> PolyMembership
         raise DomainError("membership classification needs n >= 2")
     if degree_budget < 0:
         raise DomainError("degree budget must be >= 0")
-    l = spec.l
-    ai = spec.norm_inf
+    l, ai = spec.l, spec.norm_inf
     cap = float(n) ** degree_budget
     member = l <= cap and ai <= cap
     l_exp = math.log(l) / math.log(n)

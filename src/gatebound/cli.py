@@ -63,9 +63,7 @@ def _write_json(payload, path: str | None) -> None:
 
 
 def _load_inputs(args):
-    net = netmod.load_network(args.graph)
-    spec = bnd.load_spec(args.target)
-    return net, spec
+    return netmod.load_network(args.graph), bnd.load_spec(args.target)
 
 
 def cmd_bound(args) -> int:

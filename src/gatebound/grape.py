@@ -52,8 +52,9 @@ class PulseSet:
     restart_index: int = 0
 
     def __post_init__(self):
-        if self.T <= 0 or self.N < 1:
-            raise DomainError("need T > 0 and N >= 1")
+        _check_time(self.T)
+        if self.N < 1:
+            raise DomainError("need N >= 1")
         amps = np.array(self.amplitudes, dtype=float)
         if amps.ndim != 2 or amps.shape[0] != self.N:
             raise DomainError(f"amplitudes must be N x C with N = {self.N}")

@@ -159,6 +159,15 @@ def commutes(p: PauliString, q: PauliString) -> bool:
     return sym % 2 == 0
 
 
+def symplectic_bits(words) -> np.ndarray:
+    """(l, 2, n) 0/1 uint8 array: word j's x and z bits on qubit i at [j, :, i]."""
+    n = words[0].n
+    raw = b"".join(m.to_bytes((n + 7) // 8, "little")
+                   for p in words for m in (p.x_bits, p.z_bits))
+    packed = np.frombuffer(raw, np.uint8).reshape(len(words), 2, -1)
+    return np.unpackbits(packed, axis=2, count=n, bitorder="little")
+
+
 @dataclass(frozen=True)
 class CommutatorTerm:
     """Exact decomposition [P, Q] = scale * i**phase_exp * word."""

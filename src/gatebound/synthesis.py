@@ -171,9 +171,8 @@ def load_schedule(path) -> Schedule:
 
 
 def save_schedule(s: Schedule, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(schedule_to_dict(s), fh, indent=1)
-        fh.write("\n")
+    with open(path, "w") as fh:  # compact: json.dumps takes the C encoder
+        fh.write(json.dumps(schedule_to_dict(s)) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from collections import deque
 import numpy as np
 
 from gatebound import GeneratorSpec, PauliString, QubitNetwork, commutator, commutes
+from gatebound.errors import DomainError
 from gatebound.pauli import two_body
 
 I2 = np.eye(2, dtype=complex)
@@ -50,9 +51,15 @@ def all_strings(n: int, min_weight: int = 0):
                 yield p
 
 
+def _random_mask(rng, n: int) -> int:
+    if n <= 62:
+        return int(rng.integers(0, 1 << n))
+    return int.from_bytes(rng.bytes((n + 7) // 8), "little") & ((1 << n) - 1)
+
+
 def random_word(rng, n: int, min_weight: int = 1) -> PauliString:
     while True:
-        p = PauliString(n, int(rng.integers(0, 1 << n)), int(rng.integers(0, 1 << n)))
+        p = PauliString(n, _random_mask(rng, n), _random_mask(rng, n))
         if p.weight >= min_weight:
             return p
 
@@ -75,6 +82,18 @@ def random_spec(rng, n: int, l: int, coeff_range=(0.1, 1.0),
                 continue
         coeffs = rng.uniform(*coeff_range, size=l) * rng.choice([-1.0, 1.0], size=l)
         return GeneratorSpec(tuple((float(a), w) for a, w in zip(coeffs, words)))
+
+
+def commutator_weight_oracle(spec: GeneratorSpec) -> float:
+    """The pair loop ``bounds.commutator_weight`` replaced, kept as its oracle:
+    K = 2 * sum of |a_j a_k| over the anticommuting pairs j > k."""
+    terms = spec.terms
+    K = 2.0 * sum(abs(aj * ak)
+                  for j, (aj, pj) in enumerate(terms)
+                  for ak, pk in terms[:j] if not commutes(pj, pk))
+    if not math.isfinite(K):
+        raise DomainError("commutator weight overflows; coefficients too large")
+    return K
 
 
 def uniform_chain(n: int, g: float = 1.0, axes=(2, 2)) -> QubitNetwork:

@@ -1,6 +1,10 @@
 """Closed-form bound formulas and the aggregated report."""
 
+import json
 import math
+import time
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -23,12 +27,21 @@ from gatebound import (
     trotter_error_bound,
     two_qubit_bound,
 )
+from gatebound import bounds
 from gatebound.bounds import spec_from_list, spec_to_list
+from gatebound.cli import main
 from gatebound.errors import DomainError
 from gatebound.network import ising_chain
 from gatebound.pauli import parse_pauli
 
-from helpers import all_strings, kron_word, random_connected_network, random_spec, uniform_chain
+from helpers import (
+    all_strings,
+    commutator_weight_oracle,
+    kron_word,
+    random_connected_network,
+    random_spec,
+    uniform_chain,
+)
 
 
 def spec_of(*terms):
@@ -260,6 +273,94 @@ class TestPairSumChain:
             assert step1 <= step2 + 1e-12
             assert step2 <= step3 + 1e-12
             assert commutator_weight(s) * math.sqrt(2.0 ** n) == pytest.approx(total)
+
+
+def majoranas(n: int, coeffs) -> GeneratorSpec:
+    """The 2n Jordan-Wigner words Z..Z X_i and Z..Z Y_i: every pair anticommutes."""
+    words = [PauliString(n, 1 << i, (1 << (i + y)) - 1) for i in range(n) for y in (0, 1)]
+    return GeneratorSpec(tuple(zip(coeffs, words)))
+
+
+class TestCommutatorKernel:
+    """commutator_weight against the pair loop it replaced, compared with ==."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 63, 64, 65, 130, 1100])
+    def test_matches_pair_loop_on_seeded_specs(self, n):
+        rng = np.random.default_rng(6000 + n)
+        for l in (1, 2, 3, 5, 17, 60):
+            s = random_spec(rng, n, min(l, 4**n - 1), coeff_range=(1e-3, 10.0))
+            assert commutator_weight(s) == commutator_weight_oracle(s)
+
+    @pytest.mark.parametrize("l", [1, 90, 91, 92, 300])
+    def test_matches_pair_loop_at_block_edges(self, l):
+        # the first block holds rows 1..90 (90 * 90 <= 8192 < 91 * 91), so
+        # l = 91 fills exactly one block; l = 300 spans seven
+        rng = np.random.default_rng(7000 + l)
+        s = random_spec(rng, 20, l, coeff_range=(1e-3, 10.0))
+        assert commutator_weight(s) == commutator_weight_oracle(s)
+
+    def test_matches_pair_loop_when_rows_split(self, monkeypatch):
+        # with 7-pair blocks every row past the seventh is cut into pieces
+        monkeypatch.setattr(bounds, "_PAIR_BLOCK", 7)
+        rng = np.random.default_rng(7001)
+        for n, l in [(3, 20), (8, 40), (65, 30)]:
+            s = random_spec(rng, n, l, coeff_range=(1e-3, 10.0))
+            assert commutator_weight(s) == commutator_weight_oracle(s)
+
+    def test_all_commuting_is_zero(self):
+        for x_or_z in (0, 1):
+            words = [PauliString(8, m * (1 - x_or_z), m * x_or_z) for m in range(1, 200)]
+            s = GeneratorSpec(tuple((0.5 + 0.01 * k, w) for k, w in enumerate(words)))
+            assert commutator_weight(s) == commutator_weight_oracle(s) == 0.0
+
+    def test_all_anticommuting(self):
+        rng = np.random.default_rng(7002)
+        for n in (1, 3, 65):
+            a = rng.uniform(0.1, 1.0, size=2 * n) * rng.choice([-1.0, 1.0], size=2 * n)
+            s = majoranas(n, a)
+            K = commutator_weight(s)
+            assert K == commutator_weight_oracle(s)
+            assert K == pytest.approx(np.sum(np.abs(a)) ** 2 - np.sum(a**2))
+
+    def test_overflow_is_a_domain_error_without_warnings(self):
+        cases = [
+            spec_of((1e200, "XI"), (1e200, "YI")),  # a product overflows
+            majoranas(1, [1e154, 1e154]),  # the sum is finite, 2 * sum is not
+            spec_of((1e154, "XI"), (1e154, "YI"), (1e154, "ZI")),  # the sum overflows
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for s in cases:
+                with pytest.raises(DomainError):
+                    commutator_weight(s)
+                with pytest.raises(DomainError):
+                    commutator_weight_oracle(s)
+            # an overflowing product on a commuting pair is never formed
+            s = spec_of((1e200, "ZI"), (1e200, "IZ"), (1.0, "XI"))
+            assert commutator_weight(s) == commutator_weight_oracle(s) == 2e200
+
+    def test_scratch_memory_at_five_thousand_terms(self):
+        s = random_spec(np.random.default_rng(7003), 20, 5000)
+        tracemalloc.start()
+        try:
+            commutator_weight(s)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+    def test_cli_bound_on_eight_thousand_terms(self, tmp_path, capsys):
+        s = random_spec(np.random.default_rng(7004), 20, 8000)
+        target = tmp_path / "target.json"
+        target.write_text(json.dumps(spec_to_list(s)))
+        net = tmp_path / "net.json"
+        net.write_text(json.dumps({"preset": "ising_chain", "n": 20, "J": 1.0}))
+        t0 = time.perf_counter()
+        rc = main(["bound", str(net), str(target), "--epsilon", "0.01"])
+        elapsed = time.perf_counter() - t0
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["commutator_weight"] == commutator_weight(s)
+        assert elapsed < 2.0
 
 
 class TestNamedBounds:

@@ -284,6 +284,12 @@ class TestOptimize:
         with pytest.raises(DomainError):
             optimize(net, np.eye(2, dtype=complex), T=1.0, seed=1)
 
+    @pytest.mark.parametrize("T", [math.nan, math.inf, 0.0])
+    def test_pulse_set_needs_finite_positive_time(self, T):
+        with pytest.raises(DomainError):
+            PulseSet(T=T, N=4, amplitudes=np.zeros((4, 2)),
+                     achieved_infidelity=1.0, iterations=0, seed=None)
+
 
 class TestScanAndCsv:
     def test_scan_checks_every_time_first(self, monkeypatch):

@@ -7,9 +7,16 @@ import pytest
 
 from gatebound import PauliString, commutator, commutes, hs_norm_commutator, multiply
 from gatebound.errors import DimensionError, DomainError, ParseError, ResourceLimitError
-from gatebound.pauli import format_pauli, identity, parse_pauli, single, to_matrix
+from gatebound.pauli import (
+    format_pauli,
+    identity,
+    parse_pauli,
+    single,
+    symplectic_bits,
+    to_matrix,
+)
 
-from helpers import all_strings, kron_word
+from helpers import all_strings, kron_word, random_word
 
 
 def test_single_qubit_products():
@@ -198,3 +205,15 @@ def test_weight_and_support():
     assert single(4, 2, "y").support == (2,)
     with pytest.raises(DomainError):
         PauliString(0, 0, 0)
+
+
+def test_symplectic_bits_match_the_masks():
+    rng = np.random.default_rng(31)
+    for n in (1, 7, 8, 9, 64, 130):
+        words = [random_word(rng, n) for _ in range(5)]
+        bits = symplectic_bits(words)
+        assert bits.shape == (5, 2, n) and bits.dtype == np.uint8
+        for j, p in enumerate(words):
+            for i in range(n):
+                assert bits[j, 0, i] == p.x_bits >> i & 1
+                assert bits[j, 1, i] == p.z_bits >> i & 1

@@ -70,6 +70,18 @@ class TestScheduleType:
         with pytest.raises(ParseError):
             schedule_from_dict({"n": 2, "primitives": [{"kind": "nope"}]})
 
+    def test_saved_file_is_one_compact_line(self, tmp_path):
+        net = uniform_chain(3)
+        spec = random_spec(np.random.default_rng(41), 3, 3, require_noncommuting=True)
+        s, m = synth_generator(net, spec, 1e-2)
+        assert m > 1
+        path = tmp_path / "schedule.json"
+        save_schedule(s, path)
+        text = path.read_text()
+        assert text.endswith("\n") and text.count("\n") == 1
+        assert text == json.dumps(schedule_to_dict(s)) + "\n"
+        assert load_schedule(path) == s
+
 
 class TestSelectTwoBody:
     def test_zero_angle(self):
