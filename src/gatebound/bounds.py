@@ -231,7 +231,8 @@ class BoundReport:
     j_coupling: float
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        # shallow: asdict would copy the per-term tuples element by element
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
 
 
 def term_depths(
@@ -249,7 +250,8 @@ def term_depths(
 def coarse_time_bound(spec: GeneratorSpec, net: QubitNetwork, epsilon: float) -> float:
     """Closed-form bound l/J * (|a|_inf + pi*l*(l-1)*(n-2)*|a|_inf^2 / (2*sqrt(2)*eps))."""
     J, l, ai, n = min_coupling(net), spec.l, spec.norm_inf, net.n
-    return l / J * (ai + math.pi * l * (l - 1) * max(0, n - 2) * ai**2
+    # float ** raises OverflowError where * gives inf
+    return l / J * (ai + math.pi * l * (l - 1) * max(0, n - 2) * (ai * ai)
                     / (2 * math.sqrt(2) * epsilon))
 
 
@@ -308,14 +310,8 @@ def run_time_bound(
     every emitted schedule unconditionally (single-term generators included,
     where it reduces to the per-term bound).
     """
-    if spec.n != net.n:
-        raise DomainError(
-            f"generator on {spec.n} qubits does not match network of {net.n}"
-        )
-    J = min_coupling(net)
-    depths = term_depths(spec, net, exact=use_exact_depths)
-    m = min_trotter_steps(spec, epsilon)
-    return (spec.norm_1 + m * math.pi / 2 * sum(depths)) / J
+    r = bound_report(spec, net, epsilon, use_exact_depths)
+    return (spec.norm_1 + r.trotter_steps * math.pi / 2 * sum(r.depths)) / r.j_coupling
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +369,8 @@ def concatenation_bounds(
     l = spec.l
     if l < 2:
         raise DomainError("the generator bound needs at least two terms")
-    T = tau * l**3 * (l - 1) * spec.norm_inf**2 / (2 * math.sqrt(2) * epsilon)
+    T = (tau * l**3 * (l - 1) * (spec.norm_inf * spec.norm_inf)
+         / (2 * math.sqrt(2) * epsilon))
     return tau, T
 
 

@@ -40,12 +40,14 @@ reconstructs, taking the first minimizer in node order at every choice.
 
 Every weight >= 2 word on a connected n-qubit graph has depth at most
 2*(n-2): grow to full support along a spanning tree, then shrink.
+
+``max_depth_table`` uses the same identity for all 2**n supports at once,
+with st(S) read off a table of the connected vertex sets.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -313,27 +315,34 @@ def depth(net: QubitNetwork, word: PauliString) -> DepthResult:
     return depth_of_support(net, word.support)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DepthTable:
-    """Exact depths for every reachable support, summarized per weight."""
+    """Exact depths of every support of weight >= 2, summarized per weight."""
 
     n: int
     max_depth: int
     per_weight: dict[int, int]
-    _dist: tuple[int, ...]
+    _depths: np.ndarray  # read-only, indexed by support bitmask
 
     def support_depth(self, support) -> int:
         mask = 0
         for q in support:
+            if not 0 <= q < self.n:
+                raise DomainError(f"qubit {q} outside 0..{self.n - 1}")
             mask |= 1 << q
-        d = self._dist[mask]
-        if d < 0:
-            raise DomainError(f"support {tuple(sorted(support))} unreachable")
-        return d
+        if mask.bit_count() < 2:
+            raise DomainError("depth is defined for supports of two or more qubits")
+        return int(self._depths[mask])
 
 
 def max_depth_table(net: QubitNetwork) -> DepthTable:
-    """Multi-source BFS over all 2**n supports; summary covers weight >= 2."""
+    """depth(S) = 2*st(S) - |S| - 2 for all 2**n supports at once.
+
+    The connected vertex sets are marked a popcount layer at a time (U is
+    connected iff some v in U has U \\ v connected and a neighbour in
+    U \\ v); then st(S), the least |U| over connected U containing S, is a
+    superset minimum taken one bit at a time.
+    """
     if net.control_model != "full_local":
         raise DomainError(
             "depth via support search requires the full_local control model"
@@ -342,50 +351,27 @@ def max_depth_table(net: QubitNetwork) -> DepthTable:
         raise ResourceLimitError(
             f"{net.n} qubits exceed the {MAX_TABLE_QUBITS}-qubit table cap"
         )
-    size = 1 << net.n
-    dist = [-1] * size
-    queue = deque()
-    for (u, v) in net.sorted_edges():
-        mask = (1 << u) | (1 << v)
-        if dist[mask] < 0:
-            dist[mask] = 0
-            queue.append(mask)
-
-    adj_mask = [0] * net.n
-    for (u, v) in net.edges:
-        adj_mask[u] |= 1 << v
-        adj_mask[v] |= 1 << u
-
-    while queue:
-        mask = queue.popleft()
-        d = dist[mask] + 1
-        reach = 0
-        for q in range(net.n):
-            if mask >> q & 1:
-                reach |= adj_mask[q]
-        for w in range(net.n):
-            wbit = 1 << w
-            if mask & wbit:
-                # shrink w: some neighbour of w stays in the support, which
-                # also keeps the support nonempty
-                if adj_mask[w] & (mask & ~wbit):
-                    nxt = mask & ~wbit
-                    if dist[nxt] < 0:
-                        dist[nxt] = d
-                        queue.append(nxt)
-            elif reach & wbit:
-                nxt = mask | wbit
-                if dist[nxt] < 0:
-                    dist[nxt] = d
-                    queue.append(nxt)
-
-    per_weight: dict[int, int] = {}
-    for mask in range(size):
-        if dist[mask] >= 0:
-            w = mask.bit_count()
-            if w >= 2:
-                per_weight[w] = max(per_weight.get(w, -1), dist[mask])
-    overall = max(per_weight.values())
-    return DepthTable(
-        n=net.n, max_depth=overall, per_weight=per_weight, _dist=tuple(dist)
-    )
+    n = net.n
+    adj_mask = [sum(1 << w for w in net.neighbors(v)) for v in range(n)]
+    weight = np.zeros(1 << n, dtype=np.int8)
+    for b in range(n):
+        weight[1 << b:2 << b] = weight[:1 << b] + 1
+    connected = weight == 1
+    layers = {k: np.flatnonzero(weight == k) for k in range(2, n + 1)}
+    for U in layers.values():
+        ok = np.zeros(len(U), dtype=bool)
+        for v in range(n):
+            # for v outside U, rest is U itself, still unmarked in `connected`
+            rest = U & ~(1 << v)
+            ok |= connected[rest] & (rest & adj_mask[v] != 0)
+        connected[U] = ok
+    # the whole vertex set is connected, so every support has st <= n
+    st = np.where(connected, weight, np.int8(n))
+    for b in range(n):
+        pairs = st.reshape(-1, 2, 1 << b)
+        np.minimum(pairs[:, 0], pairs[:, 1], out=pairs[:, 0])
+    depths = 2 * st - weight - 2
+    depths.flags.writeable = False
+    per_weight = {k: int(depths[U].max()) for k, U in layers.items()}
+    return DepthTable(n=n, max_depth=max(per_weight.values()),
+                      per_weight=per_weight, _depths=depths)

@@ -152,10 +152,3 @@ def unitarity_defect(U: np.ndarray) -> float:
     """||U^dagger U - I||_HS, for sanity checks."""
     dim = U.shape[0]
     return float(np.linalg.norm(U.conj().T @ U - np.eye(dim)))
-
-
-def write_matrix_text(U: np.ndarray, fh) -> None:
-    """Row-major real/imaginary pairs, one row per line, for external diffing."""
-    for row in U:
-        fh.write(" ".join(f"{z.real:.17g} {z.imag:.17g}" for z in row))
-        fh.write("\n")

@@ -98,13 +98,6 @@ class Schedule:
     def total_duration(self) -> float:
         return self.repeat * sum(p.duration for p in self.primitives)
 
-    def __add__(self, other: "Schedule") -> "Schedule":
-        if self.n != other.n:
-            raise DomainError("cannot concatenate schedules of different sizes")
-        if self.repeat != 1 or other.repeat != 1:
-            raise DomainError("cannot concatenate repeated schedules")
-        return Schedule(self.n, self.primitives + other.primitives)
-
 
 def empty_schedule(n: int) -> Schedule:
     return Schedule(n, ())
@@ -392,7 +385,6 @@ def synth_generator(
             f"generator on {spec.n} qubits does not match network of {net.n}"
         )
     m = min_trotter_steps(spec, epsilon)
-    one_pass = empty_schedule(net.n)
-    for a, word in spec.terms:
-        one_pass = one_pass + synth_pauli_term(net, a / m, word)
-    return Schedule(net.n, one_pass.primitives, repeat=m), m
+    one_pass = tuple(prim for a, word in spec.terms
+                     for prim in synth_pauli_term(net, a / m, word).primitives)
+    return Schedule(net.n, one_pass, repeat=m), m

@@ -78,6 +78,17 @@ def test_depth_table_five_path(tmp_path, capsys):
     assert data["max_depth"] == 6
 
 
+def test_depth_table_on_twenty_qubits_is_fast(tmp_path, capsys):
+    net = tmp_path / "net20.json"
+    net.write_text(json.dumps({"preset": "ising_chain", "n": 20, "J": 1.0}))
+    start = time.perf_counter()
+    assert main(["depth", str(net), "--table"]) == 0
+    assert time.perf_counter() - start < 3.0
+    data = json.loads(capsys.readouterr().out)
+    assert data["max_depth"] == data["per_weight"]["2"] == 36
+    assert data["per_weight"]["20"] == 18
+
+
 def test_depth_single_words(three_path, capsys):
     assert main(["depth", three_path, "ZZI"]) == 0
     assert json.loads(capsys.readouterr().out)["depth"] == 0
@@ -382,14 +393,18 @@ def test_verify_without_unitarity_gives_no_verdict(three_path, tmp_path, capsys)
 
 @pytest.mark.parametrize("command", ["bound", "verify"])
 def test_non_finite_results_are_a_domain_error(three_path, tmp_path, capsys, command):
+    targets = [[{"coeff": 1e150, "pauli": "ZZI"}, {"coeff": 1.0, "pauli": "XII"}]]
+    if command == "bound":
+        # commuting terms give K = 0; only the coarse bound's |a|_inf**2 overflows
+        targets.append([{"coeff": 1e200, "pauli": "ZZI"}, {"coeff": 1e200, "pauli": "IZZ"}])
     target = tmp_path / "big.json"
-    target.write_text(json.dumps([{"coeff": 1e150, "pauli": "ZZI"},
-                                  {"coeff": 1.0, "pauli": "XII"}]))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        rc = main([command, three_path, str(target), "--epsilon", "1e-9"])
-    assert rc == 3
-    _one_line_error(capsys)
+    for terms in targets:
+        target.write_text(json.dumps(terms))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main([command, three_path, str(target), "--epsilon", "1e-9"])
+        assert rc == 3
+        _one_line_error(capsys)
 
 
 @pytest.mark.parametrize("repeat", [0, -1, 2.5, True, "3"])

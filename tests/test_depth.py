@@ -90,6 +90,9 @@ def test_max_depth_table_five_path():
     assert table.max_depth == 6
     # the deepest supports are sparse pairs near the ends, e.g. {0, 4}
     assert table.support_depth((0, 4)) == 6
+    for support in [(), (2,), (3, 3), (0, 5), (-1, 2)]:
+        with pytest.raises(DomainError):
+            table.support_depth(support)
 
 
 def test_full_weight_on_paths():
@@ -170,6 +173,13 @@ def test_steiner_depth_matches_subset_searches(net):
     table = max_depth_table(net)
     is_tree = len(net.edges) == net.n - 1
     full = (1 << net.n) - 1
+    per_weight = {}
+    for mask, (_, steps) in oracle.items():
+        w = mask.bit_count()
+        if w >= 2:
+            per_weight[w] = max(per_weight.get(w, 0), len(steps))
+    assert table.per_weight == per_weight
+    assert table.max_depth == max(per_weight.values())
     for mask in range(1 << net.n):
         if mask.bit_count() < 2:
             continue

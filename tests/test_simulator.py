@@ -17,7 +17,7 @@ from gatebound import (
 )
 from gatebound.errors import DimensionError, DomainError, ResourceLimitError
 from gatebound.pauli import parse_pauli
-from gatebound.simulator import drift_matrix, unitarity_defect, write_matrix_text
+from gatebound.simulator import drift_matrix, unitarity_defect
 from gatebound.synthesis import LocalRotation, Schedule, TwoBodyEvolution, empty_schedule
 
 from helpers import (
@@ -276,16 +276,3 @@ class TestTrotterProductTheorem:
                     G = word_rotation(p, abs(a) / m, sign=1 if a > 0 else -1) @ G
                 Gm = np.linalg.matrix_power(G, m)
                 assert normalized_error(Gm, U) <= trotter_error_bound(spec, m) + 1e-12
-
-
-def test_matrix_dump_round_trip(tmp_path):
-    rng = np.random.default_rng(51)
-    U = haar_unitary(rng, 4)
-    path = tmp_path / "u.txt"
-    with open(path, "w") as fh:
-        write_matrix_text(U, fh)
-    rows = []
-    for line in path.read_text().splitlines():
-        vals = [float(v) for v in line.split()]
-        rows.append([complex(vals[i], vals[i + 1]) for i in range(0, len(vals), 2)])
-    assert np.allclose(np.array(rows), U, atol=1e-15)
