@@ -29,6 +29,9 @@ _MAT_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 _SINGLE = {(0, 0): _MAT_I, (1, 0): _MAT_X, (1, 1): _MAT_Y, (0, 1): _MAT_Z}
 _CHAR = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
 _BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
+# a word read right to left is its x and z masks written in binary
+_X_DIGITS = str.maketrans("IXYZ", "0110")
+_Z_DIGITS = str.maketrans("IXYZ", "0011")
 
 
 @dataclass(frozen=True)
@@ -112,14 +115,12 @@ def parse_pauli(text: str) -> PauliString:
     """Parse a word over IXYZ, qubit 0 leftmost, phase 0."""
     if not isinstance(text, str) or len(text) == 0:
         raise ParseError("empty Pauli word (need at least one qubit)")
-    x = z = 0
-    for pos, ch in enumerate(text):
-        bits = _BITS.get(ch)
-        if bits is None:
-            raise ParseError(f"invalid character {ch!r} at position {pos}")
-        x |= bits[0] << pos
-        z |= bits[1] << pos
-    return PauliString(len(text), x, z, 0)
+    rest = text.lstrip("IXYZ")
+    if rest:
+        raise ParseError(f"invalid character {rest[0]!r} at position {len(text) - len(rest)}")
+    word = text[::-1]
+    return PauliString(len(text), int(word.translate(_X_DIGITS), 2),
+                       int(word.translate(_Z_DIGITS), 2), 0)
 
 
 def format_pauli(p: PauliString) -> str:

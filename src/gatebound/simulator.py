@@ -1,11 +1,12 @@
 """Verification: exact unitaries and the two error metrics.
 
 Schedules are simulated qubit-locally: each primitive acts on U through its
-own one or two qubit axes, never as a 2**n x 2**n matrix.  Targets and drift
-Hamiltonians are dense Pauli sums; exp(iH) comes from an eigendecomposition,
-independent of the schedule simulation.  Every exponential is exact to
-machine precision (cos + i*sin for involutory generators); no series
-truncation is involved anywhere.
+own one or two qubit axes, never as a 2**n x 2**n matrix, and a Pauli pair
+as axis flips and phases.  Targets and drift Hamiltonians are dense Pauli
+sums, independent of the schedule simulation: one term exponentiates in
+closed form, several through an eigendecomposition.  Every exponential is
+exact to machine precision (cos + i*sin for involutory generators); no
+series truncation is involved anywhere.
 """
 
 from __future__ import annotations
@@ -21,7 +22,12 @@ from .synthesis import LocalRotation, TwoBodyEvolution
 
 MAX_SIM_QUBITS = 10
 
-_PAULI = {name: to_matrix(single(1, 0, name)) for name in AXES}
+# s_a s_b U with s_a on qubit i < j and s_b on j: U flipped along the axes of
+# x and y factors, times _PAIR_PHASE[a, b][b_i, 0, b_j, 0] per index pair
+_FLIP = {"x": slice(None, None, -1), "y": slice(None, None, -1), "z": slice(None)}
+_PHASE = {"x": (1, 1), "y": (-1j, 1j), "z": (1, -1)}
+_PAIR_PHASE = {(a, b): np.array([[[[x * y] for y in _PHASE[b]]] for x in _PHASE[a]])
+               for a in AXES for b in AXES}
 
 
 def _check_cap(n: int, max_qubits: int) -> None:
@@ -32,9 +38,13 @@ def _check_cap(n: int, max_qubits: int) -> None:
 
 
 def target_unitary(spec, max_qubits: int = MAX_SIM_QUBITS) -> np.ndarray:
-    """exp(i * sum_i a_i P_i) via eigendecomposition of the Hermitian sum."""
+    """exp(i * sum_i a_i P_i): cos(a)*I + i*sin(a)*P for one term (P**2 = I),
+    else through an eigendecomposition of the Hermitian sum."""
     _check_cap(spec.n, max_qubits)
     dim = 2 ** spec.n
+    if spec.l == 1:
+        ((a, p),) = spec.terms
+        return math.cos(a) * np.eye(dim) + (1j * math.sin(a)) * to_matrix(p, max_qubits)
     H = np.zeros((dim, dim), dtype=complex)
     for a, p in spec.terms:
         H += a * to_matrix(p, max_qubits=max_qubits)
@@ -58,7 +68,8 @@ def unitary_of_schedule(
     """Ordered product of primitive exponentials (first primitive acts first),
     raised to the schedule's repeat count.  A local rotation is a 2 x 2
     matrix on its qubit; exp(i*sign*angle*s_a s_b) applies to U as
-    cos(angle)*U + i*sign*sin(angle)*(s_a on i)(s_b on j)*U.  The local
+    cos(angle)*U + i*sign*sin(angle)*(s_a on i)(s_b on j)*U, the Pauli pair
+    as U flipped along its x and y factors' axes, times a phase.  The local
     rotations a qubit receives between two-body evolutions on it are
     multiplied into one 2 x 2 before they touch U."""
     _check_cap(schedule.n, max_qubits)
@@ -92,12 +103,13 @@ def unitary_of_schedule(
                     f"evolution claims sign {prim.sign:+d} on coupling {prim.g_used} "
                     f"of edge {prim.edge}, but the drift runs its strongest "
                     f"entries, +-{best}, with sign -sgn(g) only")
-            (i, j), angle = prim.edge, prim.angle
-            for q in (i, j):
+            for q in prim.edge:
                 if q in pending:
                     U = _on_qubit(U, q, pending.pop(q))
-            PU = _on_qubit(_on_qubit(U, j, _PAULI[prim.beta]), i, _PAULI[prim.alpha])
-            U = math.cos(angle) * U + (1j * prim.sign * math.sin(angle)) * PU
+            (i, a), (j, b) = sorted(zip(prim.edge, (prim.alpha, prim.beta)))
+            V = U.reshape(2 ** i, 2, 2 ** (j - i - 1), 2, -1)
+            phase = (1j * prim.sign * math.sin(prim.angle)) * _PAIR_PHASE[a, b]
+            U = (math.cos(prim.angle) * V + V[:, _FLIP[a], :, _FLIP[b]] * phase).reshape(U.shape)
         else:
             raise DomainError(f"unknown primitive {prim!r}")
     for q, G in pending.items():

@@ -3,8 +3,10 @@
 The oracles here deliberately avoid the code paths they check: matrix
 comparisons go through numpy/scipy primitives on dense Kronecker forms, the
 string-level depth search walks Pauli strings directly instead of support
-sets, and the lexicographic subset search finds depths and witnesses by
-breadth-first search instead of from Steiner trees.
+sets, the lexicographic subset search finds depths and witnesses by
+breadth-first search instead of from Steiner trees, words are parsed one
+character at a time, and the schedule reference applies each Pauli of a
+two-body step as a 2 x 2 matmul instead of as flips.
 """
 
 from __future__ import annotations
@@ -15,8 +17,9 @@ from collections import deque
 import numpy as np
 
 from gatebound import GeneratorSpec, PauliString, QubitNetwork, commutator, commutes
-from gatebound.errors import DomainError
+from gatebound.errors import DomainError, ParseError
 from gatebound.pauli import two_body
+from gatebound.synthesis import LocalRotation
 
 I2 = np.eye(2, dtype=complex)
 X2 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -31,6 +34,52 @@ def kron_word(text: str) -> np.ndarray:
     for ch in text:
         out = np.kron(out, SINGLE[ch])
     return out
+
+
+def parse_pauli_oracle(text: str) -> PauliString:
+    """Per-character parse of an IXYZ word, qubit 0 leftmost."""
+    if not isinstance(text, str) or len(text) == 0:
+        raise ParseError("empty Pauli word (need at least one qubit)")
+    bits = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
+    x = z = 0
+    for pos, ch in enumerate(text):
+        if ch not in bits:
+            raise ParseError(f"invalid character {ch!r} at position {pos}")
+        x |= bits[ch][0] << pos
+        z |= bits[ch][1] << pos
+    return PauliString(len(text), x, z, 0)
+
+
+def _on_axis(U: np.ndarray, q: int, G: np.ndarray) -> np.ndarray:
+    return (G @ U.reshape(2 ** q, 2, -1)).reshape(U.shape)
+
+
+def matmul_schedule_unitary(schedule) -> np.ndarray:
+    """Reference for the simulator's two-body step: each Pauli of the pair
+    is a 2 x 2 matmul on its qubit axis.  Local rotations are merged and
+    applied in the simulator's order, and Pauli entries are 0, +-1 or +-i,
+    so the simulator's flips must agree with this to the bit.  Primitives
+    are not validated."""
+    U = np.eye(2 ** schedule.n, dtype=complex)
+    pauli = {"x": X2, "y": Y2, "z": Z2}
+    pending = {}
+    for prim in schedule.primitives:
+        if isinstance(prim, LocalRotation):
+            (x, y, z), c, s = prim.axis, math.cos(prim.angle), math.sin(prim.angle)
+            G = np.array([[c - 1j * s * z, -s * (y + 1j * x)],
+                          [s * (y - 1j * x), c + 1j * s * z]])
+            before = pending.get(prim.qubit)
+            pending[prim.qubit] = G if before is None else G @ before
+            continue
+        (i, j), angle = prim.edge, prim.angle
+        for q in (i, j):
+            if q in pending:
+                U = _on_axis(U, q, pending.pop(q))
+        PU = _on_axis(_on_axis(U, j, pauli[prim.beta]), i, pauli[prim.alpha])
+        U = math.cos(angle) * U + (1j * prim.sign * math.sin(angle)) * PU
+    for q, G in pending.items():
+        U = _on_axis(U, q, G)
+    return np.linalg.matrix_power(U, schedule.repeat)
 
 
 def word_rotation(word: PauliString, angle: float, sign: int = 1) -> np.ndarray:

@@ -69,7 +69,7 @@ def test_criterion_03_depth_oracle_equivalence():
                             mismatches += 1
         assert mismatches == 0
 
-    _report(3, "subset-BFS depth equals string-level BFS on path/star/complete",
+    _report(3, "Steiner-tree depth equals string-level BFS on path/star/complete",
             body)
 
 

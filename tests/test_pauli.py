@@ -16,7 +16,7 @@ from gatebound.pauli import (
     to_matrix,
 )
 
-from helpers import all_strings, kron_word, random_word
+from helpers import all_strings, kron_word, parse_pauli_oracle, random_word
 
 
 def test_single_qubit_products():
@@ -185,6 +185,24 @@ def test_parse_errors():
         parse_pauli("XYqZ")
     with pytest.raises(ParseError):
         parse_pauli("xyz")  # lowercase is rejected
+
+
+def test_parse_matches_per_character_oracle():
+    rng = np.random.default_rng(31)
+    for n in list(range(1, 12)) + [int(k) for k in rng.integers(12, 301, size=40)]:
+        text = "".join(rng.choice(list("IXYZ"), size=n))
+        assert parse_pauli(text) == parse_pauli_oracle(text)
+
+
+@pytest.mark.parametrize("bad", ["q", "x", " ", "\n", "é", "0"])
+def test_parse_error_text_matches_oracle_at_every_position(bad):
+    for pos in range(6):
+        text = "XYZIZ"[:pos] + bad + "XYZIZ"[pos:] + "?"  # the first one is reported
+        with pytest.raises(ParseError) as oracle:
+            parse_pauli_oracle(text)
+        with pytest.raises(ParseError) as got:
+            parse_pauli(text)
+        assert str(got.value) == str(oracle.value)
 
 
 def test_dimension_errors():

@@ -1,6 +1,7 @@
 """Qubit-local schedule simulator against independent dense matrix oracles."""
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -16,14 +17,16 @@ from gatebound import (
     unitary_of_schedule,
 )
 from gatebound.errors import DimensionError, DomainError, ResourceLimitError
-from gatebound.pauli import parse_pauli
-from gatebound.simulator import drift_matrix, unitarity_defect
+from gatebound.pauli import parse_pauli, to_matrix
+from gatebound.simulator import drift_matrix, expi_hermitian, unitarity_defect
 from gatebound.synthesis import LocalRotation, Schedule, TwoBodyEvolution, empty_schedule
 
 from helpers import (
     kron_word,
+    matmul_schedule_unitary,
     random_connected_network,
     random_spec,
+    random_word,
     uniform_chain,
     word_rotation,
 )
@@ -58,6 +61,29 @@ class TestTargetUnitary:
             spec = random_spec(rng, 3, int(rng.integers(1, 5)))
             H = sum(a * kron_word(str(p)) for a, p in spec.terms)
             assert np.allclose(target_unitary(spec), scipy.linalg.expm(1j * H), atol=1e-10)
+
+    def test_single_term_matches_expm_oracle(self):
+        rng = np.random.default_rng(22)
+        for n in range(1, 7):
+            for _ in range(5):
+                a, w = float(rng.uniform(-4, 4)), random_word(rng, n)
+                expected = scipy.linalg.expm(1j * a * kron_word(str(w)))
+                assert np.allclose(target_unitary(GeneratorSpec(((a, w),))), expected,
+                                   rtol=0, atol=1e-12)
+
+    def test_single_term_matches_eigh_at_ten_qubits(self):
+        rng = np.random.default_rng(23)
+        a, p = 0.7, random_word(rng, 10, min_weight=10)
+        U = target_unitary(GeneratorSpec(((a, p),)))
+        assert np.allclose(U, expi_hermitian(a * to_matrix(p)), rtol=0, atol=1e-12)
+
+    def test_single_term_needs_no_eigendecomposition(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigh called for a single-term target")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        spec = GeneratorSpec(((0.5, parse_pauli("XYZZYXXY")),))
+        assert unitarity_defect(target_unitary(spec)) < 1e-12
 
     def test_cap(self):
         spec = GeneratorSpec(((1.0, parse_pauli("Z" * 11)),))
@@ -186,6 +212,22 @@ class TestQubitLocalKernel:
                 repeat = int(rng.integers(1, 4)) if trial else 3
                 U = unitary_of_schedule(net, Schedule(n, prims, repeat=repeat))
                 assert np.linalg.norm(U - _expm_oracle(n, prims, repeat)) < 1e-12
+
+    def test_pauli_pair_step_equals_matmul_reference_to_the_bit(self):
+        # every schedule also runs with each evolution's edge reversed, so
+        # all nine axis pairs meet both orientations
+        rng = np.random.default_rng(505)
+        for n in range(2, 9):
+            net = _signed_network(rng, n)
+            for _ in range(2):
+                prims = _random_schedule(rng, net)
+                reversed_edges = tuple(
+                    dataclasses.replace(p, edge=p.edge[::-1])
+                    if isinstance(p, TwoBodyEvolution) else p for p in prims)
+                for schedule in (prims, reversed_edges):
+                    s = Schedule(n, schedule, repeat=int(rng.integers(1, 4)))
+                    assert np.array_equal(unitary_of_schedule(net, s),
+                                          matmul_schedule_unitary(s))
 
     def test_no_dense_embedding_per_primitive(self, monkeypatch):
         import gatebound.simulator as sim
