@@ -130,11 +130,12 @@ def commutator_weight(spec: GeneratorSpec) -> float:
     """K = 2 * sum of |a_j a_k| over the anticommuting pairs j > k.
 
     Parities of x_j.z_k + z_j.x_k come from float matmuls of bit rows [x | z]
-    against bit columns [z | x], in blocks of at most _PAIR_BLOCK pairs below
-    the diagonal (whole rows, or pieces of one row), j ascending.  Each block's
-    odd pairs give |a_j|*|a_k| in row-major order (j, then k < j, ascending),
-    and cumsum after the running total adds them one at a time, so K is
-    bit-identical to the Python loop over the pairs in that order.
+    against bit columns [z | x], in blocks of whole rows, j ascending: as many
+    rows as fit in _PAIR_BLOCK pairs, and at least one, so a block holds at
+    most max(_PAIR_BLOCK, l - 1) pairs.  Each block's odd pairs give
+    |a_j|*|a_k| in row-major order (j, then k < j, ascending), and cumsum
+    after the running total adds them one at a time, so K is bit-identical
+    to the Python loop over the pairs in that order.
     """
     l, w = spec.l, np.abs(spec.coefficients)
     bits = symplectic_bits(spec.words).astype(float)
@@ -144,12 +145,10 @@ def commutator_weight(spec: GeneratorSpec) -> float:
         while r0 < l:  # rows r0..r1-1, the most h with h*(r0 + h - 1) <= _PAIR_BLOCK
             h = (math.isqrt((r0 - 1)**2 + 4 * _PAIR_BLOCK) - r0 + 1) // 2
             r1 = min(r0 + max(h, 1), l)
-            for c0 in range(0, r1 - 1, _PAIR_BLOCK):
-                c1 = min(c0 + _PAIR_BLOCK, r1 - 1)
-                sym = (rows[r0:r1] @ cols[:, c0:c1]).astype(np.int64)
-                keep = (sym & 1 == 1) & (np.arange(c0, c1) < np.arange(r0, r1)[:, None])
-                kept = np.multiply.outer(w[r0:r1], w[c0:c1])[keep]
-                total = np.cumsum(np.concatenate(([total], kept)))[-1]
+            sym = (rows[r0:r1] @ cols[:, :r1 - 1]).astype(np.int64)
+            keep = (sym & 1 == 1) & (np.arange(r1 - 1) < np.arange(r0, r1)[:, None])
+            kept = np.multiply.outer(w[r0:r1], w[:r1 - 1])[keep]
+            total = np.cumsum(np.concatenate(([total], kept)))[-1]
             r0 = r1
     K = 2.0 * float(total)
     if not math.isfinite(K):

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import io
-import json
 import math
 import os
 import sys
@@ -55,11 +54,7 @@ def _write_output(text: str, path: str | None) -> None:
 
 
 def _write_json(payload, path: str | None) -> None:
-    try:
-        text = json.dumps(payload, indent=1, allow_nan=False)
-    except ValueError:
-        raise DomainError("result is not finite; inputs too large") from None
-    _write_output(text, path)
+    _write_output(netmod.dump_json(payload), path)
 
 
 def _load_inputs(args):

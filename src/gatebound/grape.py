@@ -36,7 +36,7 @@ DEFAULT_SLICES = 64
 DEFAULT_RESTARTS = 10
 DEFAULT_TOL = 1e-3
 DEFAULT_MAX_ITERS = 500
-DEFAULT_INIT_SCALE = 5.0  # initial amplitudes uniform in [-scale*J, scale*J]
+INIT_SCALE = 5.0  # initial amplitudes uniform in [-INIT_SCALE*J, INIT_SCALE*J]
 
 
 @dataclass(frozen=True)
@@ -177,13 +177,12 @@ def optimize(
     tol: float = DEFAULT_TOL,
     max_iters: int = DEFAULT_MAX_ITERS,
     seed: int = 0,
-    amplitude_bound: float | None = None,
-    init_scale: float = DEFAULT_INIT_SCALE,
 ) -> PulseSet:
-    """Best pulse set over seeded random restarts of L-BFGS-B.
+    """Best pulse set over seeded random restarts of unbounded L-BFGS-B.
 
-    Deterministic for a given seed.  Each restart starts from amplitudes
-    uniform in [-init_scale*J, init_scale*J] and stops once the infidelity
+    Deterministic for a given integer seed.  Restart r draws from the RNG
+    seeded with [seed, r] and starts from amplitudes uniform in
+    [-INIT_SCALE*J, INIT_SCALE*J]; it stops once the infidelity
     drops below ``tol`` or after ``max_iters`` objective evaluations;
     remaining restarts are skipped after a success.  Non-convergence is a
     reported outcome, not an error.
@@ -199,14 +198,11 @@ def optimize(
     if U_target.shape != (dim, dim):
         raise DomainError(f"target must be {dim} x {dim}")
     dt = T / N
-    span = init_scale * min_coupling(net)
-    bounds = None
-    if amplitude_bound is not None:
-        bounds = [(-amplitude_bound, amplitude_bound)] * (N * C)
+    span = INIT_SCALE * min_coupling(net)
 
     best = None  # (infidelity, restart, amplitudes, evals)
     for r in range(restarts):
-        rng = np.random.default_rng([seed, r] if seed is not None else None)
+        rng = np.random.default_rng([seed, r])
         x0 = rng.uniform(-span, span, size=N * C)
         state = {"best_f": np.inf, "best_x": x0.copy(), "evals": 0}
 
@@ -222,7 +218,7 @@ def optimize(
 
         try:
             scipy.optimize.minimize(
-                objective, x0, jac=True, method="L-BFGS-B", bounds=bounds,
+                objective, x0, jac=True, method="L-BFGS-B",
                 options={"maxiter": max_iters, "maxfun": max_iters},
             )
         except _Converged:

@@ -273,5 +273,13 @@ def read_json(path):
             raise ParseError(f"invalid JSON in {path}: {exc}") from None
 
 
+def dump_json(payload) -> str:
+    """The package's JSON form: one compact line; non-finite is a ``DomainError``."""
+    try:
+        return json.dumps(payload, allow_nan=False) + "\n"
+    except ValueError:
+        raise DomainError("result is not finite; inputs too large") from None
+
+
 def load_network(path) -> QubitNetwork:
     return network_from_dict(read_json(path))

@@ -210,11 +210,11 @@ def hs_norm_commutator(p: PauliString, q: PauliString) -> float:
         raise DomainError(f"the commutator norm on {p.n} qubits overflows a float") from None
 
 
-def to_matrix(p: PauliString, max_qubits: int = MAX_DENSE_QUBITS) -> np.ndarray:
+def to_matrix(p: PauliString) -> np.ndarray:
     """Dense 2**n x 2**n matrix, qubit 0 the leftmost Kronecker factor."""
-    if p.n > max_qubits:
+    if p.n > MAX_DENSE_QUBITS:
         raise ResourceLimitError(
-            f"dense form of {p.n} qubits exceeds the cap of {max_qubits}"
+            f"dense form of {p.n} qubits exceeds the cap of {MAX_DENSE_QUBITS}"
         )
     out = np.ones((1, 1), dtype=complex)
     for qubit in range(p.n):

@@ -30,24 +30,24 @@ _PAIR_PHASE = {(a, b): np.array([[[[x * y] for y in _PHASE[b]]] for x in _PHASE[
                for a in AXES for b in AXES}
 
 
-def _check_cap(n: int, max_qubits: int) -> None:
-    if n > max_qubits:
+def _check_cap(n: int) -> None:
+    if n > MAX_SIM_QUBITS:
         raise ResourceLimitError(
-            f"dense simulation of {n} qubits exceeds the cap of {max_qubits}"
+            f"dense simulation of {n} qubits exceeds the cap of {MAX_SIM_QUBITS}"
         )
 
 
-def target_unitary(spec, max_qubits: int = MAX_SIM_QUBITS) -> np.ndarray:
+def target_unitary(spec) -> np.ndarray:
     """exp(i * sum_i a_i P_i): cos(a)*I + i*sin(a)*P for one term (P**2 = I),
     else through an eigendecomposition of the Hermitian sum."""
-    _check_cap(spec.n, max_qubits)
+    _check_cap(spec.n)
     dim = 2 ** spec.n
     if spec.l == 1:
         ((a, p),) = spec.terms
-        return math.cos(a) * np.eye(dim) + (1j * math.sin(a)) * to_matrix(p, max_qubits)
+        return math.cos(a) * np.eye(dim) + (1j * math.sin(a)) * to_matrix(p)
     H = np.zeros((dim, dim), dtype=complex)
     for a, p in spec.terms:
-        H += a * to_matrix(p, max_qubits=max_qubits)
+        H += a * to_matrix(p)
     return expi_hermitian(H)
 
 
@@ -62,9 +62,7 @@ def _on_qubit(U: np.ndarray, q: int, G: np.ndarray) -> np.ndarray:
     return (G @ U.reshape(2 ** q, 2, -1)).reshape(U.shape)
 
 
-def unitary_of_schedule(
-    net: QubitNetwork, schedule, max_qubits: int = MAX_SIM_QUBITS
-) -> np.ndarray:
+def unitary_of_schedule(net: QubitNetwork, schedule) -> np.ndarray:
     """Ordered product of primitive exponentials (first primitive acts first),
     raised to the schedule's repeat count.  A local rotation is a 2 x 2
     matrix on its qubit; exp(i*sign*angle*s_a s_b) applies to U as
@@ -72,7 +70,7 @@ def unitary_of_schedule(
     as U flipped along its x and y factors' axes, times a phase.  The local
     rotations a qubit receives between two-body evolutions on it are
     multiplied into one 2 x 2 before they touch U."""
-    _check_cap(schedule.n, max_qubits)
+    _check_cap(schedule.n)
     if schedule.n != net.n:
         raise DimensionError(
             f"schedule on {schedule.n} qubits does not match network of {net.n}"
@@ -120,9 +118,9 @@ def unitary_of_schedule(
         return np.linalg.matrix_power(U, schedule.repeat)
 
 
-def drift_matrix(net: QubitNetwork, max_qubits: int = MAX_SIM_QUBITS) -> np.ndarray:
+def drift_matrix(net: QubitNetwork) -> np.ndarray:
     """Always-on Hamiltonian: splittings plus all edge coupling terms."""
-    _check_cap(net.n, max_qubits)
+    _check_cap(net.n)
     dim = 2 ** net.n
     H = np.zeros((dim, dim), dtype=complex)
     for q in range(net.n):

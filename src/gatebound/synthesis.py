@@ -18,14 +18,13 @@ from the first-order product-formula error bound.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 from .bounds import GeneratorSpec, min_trotter_steps
 from .depth import DepthResult, GROW, depth as witness_depth
 from .errors import DomainError, ParseError
-from .network import AXES, QubitNetwork, read_json
+from .network import AXES, QubitNetwork, dump_json, read_json
 from .pauli import PauliString, commutator, multiply, two_body
 
 _UNIT = {"x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0), "z": (0.0, 0.0, 1.0)}
@@ -164,8 +163,13 @@ def load_schedule(path) -> Schedule:
 
 
 def save_schedule(s: Schedule, path) -> None:
-    with open(path, "w") as fh:  # compact: json.dumps takes the C encoder
-        fh.write(json.dumps(schedule_to_dict(s)) + "\n")
+    """Write the schedule as ``dump_json`` does, the same bytes as ``synth -o``.
+
+    A non-finite value is a ``DomainError`` raised before the file is opened.
+    """
+    text = dump_json(schedule_to_dict(s))
+    with open(path, "w") as fh:
+        fh.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -242,29 +246,6 @@ def select_two_body(
 # ---------------------------------------------------------------------------
 # conjugation ladders
 
-def _conjugator_choices(edge: tuple[int, int], grow_vertex_label: str | None,
-                        fixed_vertex: int, changed_vertex: int,
-                        fixed_label: str):
-    """Candidate two-body conjugator labels on ``edge``, lexicographic order.
-
-    ``fixed_label`` is the current word's label on the edge endpoint that
-    stays in the support; the conjugator must differ from it there.  At the
-    changed vertex the label is pinned for grow steps (it must cancel) and
-    free for shrink steps.
-    """
-    u, v = edge
-    out = []
-    for lu in "XYZ":
-        for lv in "XYZ":
-            label = {u: lu, v: lv}
-            if label[fixed_vertex] == fixed_label:
-                continue
-            if grow_vertex_label is not None and label[changed_vertex] != grow_vertex_label:
-                continue
-            out.append((lu, lv))
-    return out
-
-
 def _build_ladder(net: QubitNetwork, word: PauliString, result: DepthResult):
     """Backward pass: pick one conjugator per witness step.
 
@@ -278,21 +259,12 @@ def _build_ladder(net: QubitNetwork, word: PauliString, result: DepthResult):
     for step in reversed(result.witness):
         u, v = step.edge
         anchor = u if step.vertex == v else v
-        if step.kind == GROW:
-            # undo the growth: the conjugator cancels the label at the grown
-            # vertex and flips the anchor label
-            choices = _conjugator_choices(
-                step.edge, current.label(step.vertex), anchor, step.vertex,
-                fixed_label=current.label(anchor),
-            )
-        else:
-            # undo the shrink: the conjugator reintroduces the removed vertex
-            choices = _conjugator_choices(
-                step.edge, None, anchor, step.vertex,
-                fixed_label=current.label(anchor),
-            )
-        lu, lv = choices[0]
-        q = two_body(net.n, u, lu, v, lv)
+        # the smallest allowed label at each endpoint: the anchor's must
+        # change; undoing a growth keeps the grown vertex's label so that it
+        # cancels, and undoing a shrink reintroduces that vertex with any label
+        label = {anchor: next(c for c in "XYZ" if c != current.label(anchor)),
+                 step.vertex: current.label(step.vertex) if step.kind == GROW else "X"}
+        q = two_body(net.n, u, label[u], v, label[v])
         # the previous-level word is the bare product; verify symbolically
         # that conjugation really advances it back to the current word
         prev = multiply(q, current).bare()

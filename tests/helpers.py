@@ -145,6 +145,30 @@ def commutator_weight_oracle(spec: GeneratorSpec) -> float:
     return K
 
 
+def conjugator_choices_oracle(edge: tuple[int, int], grow_vertex_label: str | None,
+                              fixed_vertex: int, changed_vertex: int,
+                              fixed_label: str) -> list[tuple[str, str]]:
+    """Every allowed two-body conjugator label pair on ``edge``, in
+    lexicographic order; the ladder of ``synthesis`` takes the first.
+
+    ``fixed_label`` is the current word's label on the edge endpoint that
+    stays in the support; the conjugator must differ from it there.  At the
+    changed vertex the label is pinned for grow steps (it must cancel) and
+    free for shrink steps.
+    """
+    u, v = edge
+    out = []
+    for lu in "XYZ":
+        for lv in "XYZ":
+            label = {u: lu, v: lv}
+            if label[fixed_vertex] == fixed_label:
+                continue
+            if grow_vertex_label is not None and label[changed_vertex] != grow_vertex_label:
+                continue
+            out.append((lu, lv))
+    return out
+
+
 def uniform_chain(n: int, g: float = 1.0, axes=(2, 2)) -> QubitNetwork:
     """Nearest-neighbour chain with a single coupling entry per edge."""
     tensor = np.zeros((3, 3))

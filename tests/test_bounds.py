@@ -300,7 +300,7 @@ class TestCommutatorKernel:
         assert commutator_weight(s) == commutator_weight_oracle(s)
 
     def test_matches_pair_loop_when_rows_split(self, monkeypatch):
-        # with 7-pair blocks every row past the seventh is cut into pieces
+        # with 7-pair blocks every row past the seventh is a block of its own
         monkeypatch.setattr(bounds, "_PAIR_BLOCK", 7)
         rng = np.random.default_rng(7001)
         for n, l in [(3, 20), (8, 40), (65, 30)]:

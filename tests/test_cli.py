@@ -13,9 +13,11 @@ import numpy as np
 import pytest
 
 import gatebound
+from gatebound.bounds import load_spec
 from gatebound.cli import main
+from gatebound.network import load_network
 from gatebound.pauli import PauliString, format_pauli
-from gatebound.synthesis import load_schedule
+from gatebound.synthesis import load_schedule, save_schedule, synth_generator
 
 THREE_PATH = {
     "n": 3,
@@ -439,3 +441,42 @@ def test_unreadable_number_is_a_parse_error(three_path, zzz_target, tmp_path, ca
     assert main(["verify", paths["net"], paths["target"], "--epsilon", "0.05",
                  "--schedule", paths["schedule"]]) == 2
     assert "invalid JSON" in _one_line_error(capsys)
+
+
+FOUR_TERMS = [{"coeff": 0.6, "pauli": "ZZI"}, {"coeff": -0.4, "pauli": "XZI"},
+              {"coeff": 0.3, "pauli": "IYX"}, {"coeff": 0.25, "pauli": "ZXZ"}]
+
+
+@pytest.mark.parametrize("terms", [[{"coeff": math.pi / 4, "pauli": "ZZZ"}], FOUR_TERMS],
+                         ids=["zzz", "four-terms"])
+def test_synth_file_is_the_save_schedule_bytes(three_path, tmp_path, terms):
+    target = tmp_path / "target.json"
+    target.write_text(json.dumps(terms))
+    out, ref = tmp_path / "cli.json", tmp_path / "lib.json"
+    assert main(["synth", three_path, str(target), "--epsilon", "0.05", "-o", str(out)]) == 0
+    schedule, _ = synth_generator(load_network(three_path), load_spec(target), 0.05)
+    save_schedule(schedule, ref)
+    assert out.read_bytes() == ref.read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound", "NET", "TARGET", "--epsilon", "0.05", "--exact-depths"],
+    ["depth", "NET", "ZZZ"],
+    ["depth", "NET", "--table"],
+    ["verify", "NET", "TARGET", "--epsilon", "0.05"],
+], ids=["bound", "depth-word", "depth-table", "verify"])
+def test_stdout_is_one_compact_json_line(three_path, zzz_target, capsys, argv):
+    paths = {"NET": three_path, "TARGET": zzz_target}
+    assert main([paths.get(a, a) for a in argv]) == 0
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out)) + "\n"
+
+
+def test_synth_with_infinite_duration_is_a_domain_error(tmp_path, capsys):
+    net, target, out = tmp_path / "net.json", tmp_path / "zz.json", tmp_path / "s.json"
+    net.write_text(json.dumps({"n": 2, "edges": [
+        {"i": 0, "j": 1, "g": [[0, 0, 0], [0, 0, 0], [0, 0, 5e-324]]}]}))
+    target.write_text(json.dumps([{"coeff": 0.5, "pauli": "ZZ"}]))
+    assert main(["synth", str(net), str(target), "--epsilon", "0.05", "-o", str(out)]) == 3
+    assert "not finite" in _one_line_error(capsys)
+    assert not out.exists()

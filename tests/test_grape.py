@@ -245,13 +245,6 @@ class TestOptimize:
             p.achieved_infidelity, abs=1e-12
         )
 
-    def test_amplitude_bound_is_respected(self):
-        net = ising_chain(2, J=1.0)
-        target = target_unitary(GeneratorSpec(((0.7, parse_pauli("ZZ")),)))
-        p = optimize(net, target, T=1.0, N=8, restarts=1, tol=1e-8,
-                     max_iters=40, seed=2, amplitude_bound=1.5, init_scale=1.0)
-        assert np.all(np.abs(p.amplitudes) <= 1.5 + 1e-12)
-
     def test_rejects_bad_stopping_rule(self):
         net = ising_chain(2, J=1.0)
         target = np.eye(4, dtype=complex)

@@ -166,7 +166,6 @@ def test_to_matrix_unitary_hermitian_up_to_phase():
 def test_to_matrix_cap():
     with pytest.raises(ResourceLimitError):
         to_matrix(identity(13))
-    to_matrix(identity(13), max_qubits=13)  # configurable
 
 
 def test_parse_format_round_trip():

@@ -27,19 +27,31 @@ from gatebound import (
     unitary_of_schedule,
 )
 from gatebound.bounds import bound_report
+from gatebound.depth import GROW
 from gatebound.errors import DomainError, ParseError
-from gatebound.pauli import parse_pauli
+from gatebound.pauli import multiply, parse_pauli, two_body
 from gatebound.synthesis import (
     LocalRotation,
     Schedule,
     TwoBodyEvolution,
+    _build_ladder,
     load_schedule,
     save_schedule,
     schedule_from_dict,
     schedule_to_dict,
 )
 
-from helpers import kron_word, random_connected_network, random_spec, random_word, uniform_chain
+from helpers import (
+    complete_graph,
+    conjugator_choices_oracle,
+    grid_graph,
+    kron_word,
+    random_connected_network,
+    random_spec,
+    random_word,
+    star_full_local,
+    uniform_chain,
+)
 
 
 class TestScheduleType:
@@ -81,6 +93,19 @@ class TestScheduleType:
         assert text.endswith("\n") and text.count("\n") == 1
         assert text == json.dumps(schedule_to_dict(s)) + "\n"
         assert load_schedule(path) == s
+
+    def test_non_finite_schedule_leaves_the_file_alone(self, tmp_path):
+        # a 5e-324 coupling runs 0.5*ZZ in 0.5/5e-324 = inf time
+        g = np.zeros((3, 3))
+        g[2, 2] = 5e-324
+        net = QubitNetwork(n=2, edges={(0, 1): g})
+        s = synth_pauli_term(net, 0.5, parse_pauli("ZZ"))
+        assert math.isinf(s.total_duration)
+        path = tmp_path / "schedule.json"
+        path.write_text("earlier contents\n")
+        with pytest.raises(DomainError, match="not finite"):
+            save_schedule(s, path)
+        assert path.read_text() == "earlier contents\n"
 
 
 class TestSelectTwoBody:
@@ -242,6 +267,35 @@ class TestSynthPauliTerm:
                 assert np.linalg.norm(U - np.eye(2 ** n)) < 1e-12
             checked += D
         assert checked > 60
+
+    def test_ladder_picks_the_first_allowed_conjugator(self):
+        # every conjugator is the lexicographically first label pair the
+        # oracle enumerates for its witness step
+        rng = np.random.default_rng(73)
+        nets = []
+        for n in range(3, 12):
+            nets += [uniform_chain(n), star_full_local(n),
+                     random_connected_network(rng, n, extra_edges=int(rng.integers(0, 4)))]
+        nets += [grid_graph(2, 2), grid_graph(2, 3), grid_graph(3, 3), grid_graph(2, 5),
+                 complete_graph(5)]
+        steps = 0
+        for net in nets:
+            for _ in range(8):
+                word = random_word(rng, net.n, min_weight=2)
+                result = depth(net, word)
+                _, conjugators, _ = _build_ladder(net, word, result)
+                assert len(conjugators) == len(result.witness)
+                current = word.bare()
+                for step, q in zip(reversed(result.witness), reversed(conjugators)):
+                    u, v = step.edge
+                    anchor = u if step.vertex == v else v
+                    grown = current.label(step.vertex) if step.kind == GROW else None
+                    lu, lv = conjugator_choices_oracle(step.edge, grown, anchor, step.vertex,
+                                                       current.label(anchor))[0]
+                    assert q == two_body(net.n, u, lu, v, lv)
+                    current = multiply(q, current).bare()
+                    steps += 1
+        assert steps > 500
 
     def test_rejects_bad_inputs(self):
         net = uniform_chain(3)
