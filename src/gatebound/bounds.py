@@ -26,7 +26,7 @@ import numpy as np
 
 from .depth import depth_of_support, depth_upper_bound
 from .errors import DomainError, ParseError
-from .network import QubitNetwork, geodesic_distance, min_coupling, read_json
+from .network import QubitNetwork, geodesic_distance, min_coupling, read_json, require_full_local
 from .pauli import PauliString, parse_pauli, symplectic_bits
 
 _PAIR_BLOCK = 8192  # pair entries per block of commutator_weight
@@ -261,6 +261,7 @@ def bound_report(
     use_exact_depths: bool = False,
 ) -> BoundReport:
     """Evaluate every time bound for ``spec`` on ``net`` at error ``epsilon``."""
+    require_full_local(net)
     if spec.n != net.n:
         raise DomainError(
             f"generator on {spec.n} qubits does not match network of {net.n}"
@@ -318,6 +319,7 @@ def run_time_bound(
 
 def cnot_bound(net: QubitNetwork, i: int, j: int) -> float:
     """CNOT time bound pi*((d(i,j)-1)/J + 1/(4J)), d the geodesic distance."""
+    require_full_local(net)
     if i == j:
         raise DomainError("CNOT needs two distinct qubits")
     J = min_coupling(net)

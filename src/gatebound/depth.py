@@ -53,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ResourceLimitError
-from .network import QubitNetwork
+from .network import QubitNetwork, canonical_edge, require_full_local
 from .pauli import PauliString
 
 MAX_TABLE_QUBITS = 20
@@ -108,10 +108,6 @@ def replay_witness(start_edge: tuple[int, int], witness) -> frozenset[int]:
         else:
             raise DomainError(f"unknown step kind {step.kind!r}")
     return frozenset(support)
-
-
-def _edge(u: int, v: int) -> tuple[int, int]:
-    return (u, v) if u < v else (v, u)
 
 
 def _components(adj, vertices) -> list[set[int]]:
@@ -250,12 +246,12 @@ def _smallest_walk(adj, edges, U: set[int], terminals: frozenset):
         return edges[0], []
     # the first step from each start edge is its smallest grow step
     _, start = min(
-        (min((_edge(x, w), w) for x in e for w in adj[x] if w not in e), e)
+        (min((canonical_edge(x, w), w) for x in e for w in adj[x] if w not in e), e)
         for e in edges
     )
     support = set(start)
     steps = []
-    heap = [(_edge(x, w), w) for x in start for w in adj[x] if w not in support]
+    heap = [(canonical_edge(x, w), w) for x in start for w in adj[x] if w not in support]
     heapq.heapify(heap)
     while len(support) < len(U):
         edge, w = heapq.heappop(heap)
@@ -265,7 +261,7 @@ def _smallest_walk(adj, edges, U: set[int], terminals: frozenset):
         steps.append(DepthStep(GROW, edge, w))
         for x in adj[w]:
             if x not in support:
-                heapq.heappush(heap, (_edge(w, x), x))
+                heapq.heappush(heap, (canonical_edge(w, x), x))
     while len(support) > len(terminals):
         # every component left must keep a terminal to shrink towards
         edge, y = next(
@@ -279,10 +275,7 @@ def _smallest_walk(adj, edges, U: set[int], terminals: frozenset):
 
 def depth_of_support(net: QubitNetwork, support) -> DepthResult:
     """Exact depth of a support set (>= 2 vertices) with a shortest witness."""
-    if net.control_model != "full_local":
-        raise DomainError(
-            "depth via support search requires the full_local control model"
-        )
+    require_full_local(net)
     vertices = sorted(set(support))
     if len(vertices) < 2:
         raise DomainError("depth is defined for supports of two or more qubits")
@@ -343,10 +336,7 @@ def max_depth_table(net: QubitNetwork) -> DepthTable:
     U \\ v); then st(S), the least |U| over connected U containing S, is a
     superset minimum taken one bit at a time.
     """
-    if net.control_model != "full_local":
-        raise DomainError(
-            "depth via support search requires the full_local control model"
-        )
+    require_full_local(net)
     if net.n > MAX_TABLE_QUBITS:
         raise ResourceLimitError(
             f"{net.n} qubits exceed the {MAX_TABLE_QUBITS}-qubit table cap"

@@ -97,7 +97,14 @@ def _slice_propagators(H0, Hk, amplitudes, dt):
     """
     _check_size(len(amplitudes), H0.shape[0])
     H = H0[None, :, :] + np.tensordot(amplitudes, Hk, axes=(1, 0))
-    vals, vecs = np.linalg.eigh(H)
+    try:
+        vals, vecs = np.linalg.eigh(H)
+        # bounds each phase dt*lambda, each gap lambda_a - lambda_b and dt times it
+        finite = math.isfinite(2 * max(dt, 1.0) * float(np.abs(vals).max()))
+    except np.linalg.LinAlgError:  # entries near the float limit
+        finite = False
+    if not finite:
+        raise DomainError("slice Hamiltonians too large to exponentiate")
     phases = np.exp(-1j * dt * vals)
     Us = (vecs * phases[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
     return Us, vals, vecs
@@ -199,6 +206,8 @@ def optimize(
         raise DomainError(f"target must be {dim} x {dim}")
     dt = T / N
     span = INIT_SCALE * min_coupling(net)
+    if not math.isfinite(2 * span):  # the initial amplitudes need a finite range
+        raise DomainError("couplings too large for pulse optimization")
 
     best = None  # (infidelity, restart, amplitudes, evals)
     for r in range(restarts):

@@ -3,7 +3,9 @@
 A network is an undirected connected graph whose vertices are qubits.
 Every edge (i, j) carries a real 3x3 tensor ``g[a][b]`` coupling axis a on
 qubit i to axis b on qubit j (angular frequency units), and every qubit
-carries a 3-vector of energy splittings.  Two control models are tagged:
+carries a 3-vector of energy splittings.  An edge may be given either way
+round; it is stored as (min, max), with g transposed when i > j, and a pair
+given twice is a ``DomainError``.  Two control models are tagged:
 
 * ``full_local``  -- two unconstrained orthogonal controls per qubit,
 * ``star_reduced`` -- x/y controls on the hub plus one z control per leaf.
@@ -27,8 +29,21 @@ AXES = ("x", "y", "z")
 CONTROL_MODELS = ("full_local", "star_reduced")
 
 
-def _canonical_edge(i: int, j: int) -> tuple[int, int]:
+def canonical_edge(i: int, j: int) -> tuple[int, int]:
     return (i, j) if i < j else (j, i)
+
+
+def _distances(adjacency, source: int) -> dict[int, int]:
+    """Fewest edges from ``source`` to each vertex it reaches (BFS)."""
+    dist = {source: 0}
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for v in adjacency[u]:
+            if v not in dist:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist
 
 
 @dataclass(frozen=True)
@@ -39,7 +54,7 @@ class QubitNetwork:
     edges: dict[tuple[int, int], np.ndarray]
     omega: np.ndarray = None
     control_model: str = "full_local"
-    _adjacency: dict[int, list[int]] = field(init=False, repr=False)
+    _adjacency: dict[int, tuple[int, ...]] = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.n < 2:
@@ -59,9 +74,12 @@ class QubitNetwork:
                 raise DomainError(f"edge ({i},{j}) has non-finite couplings")
             if not np.any(tensor):
                 raise DomainError(f"edge ({i},{j}) has all-zero couplings")
-            tensor = tensor.copy()
+            key = canonical_edge(i, j)
+            if key in edges:
+                raise DomainError(f"edge {key} is given twice")
+            tensor = (tensor if i < j else tensor.T).copy()
             tensor.setflags(write=False)
-            edges[_canonical_edge(i, j)] = tensor
+            edges[key] = tensor
         if not edges:
             raise DomainError("a network needs at least one edge")
         object.__setattr__(self, "edges", edges)
@@ -80,32 +98,21 @@ class QubitNetwork:
         for (i, j) in edges:
             adjacency[i].append(j)
             adjacency[j].append(i)
-        for neighbors in adjacency.values():
-            neighbors.sort()
+        adjacency = {i: tuple(sorted(nbrs)) for i, nbrs in adjacency.items()}
         object.__setattr__(self, "_adjacency", adjacency)
-
-        if not self._connected():
+        if len(_distances(adjacency, 0)) < self.n:
             raise DomainError("the coupling graph must be connected")
 
-    def _connected(self) -> bool:
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            u = queue.popleft()
-            for v in self._adjacency[u]:
-                if v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        return len(seen) == self.n
-
-    def neighbors(self, i: int) -> list[int]:
-        return list(self._adjacency[i])
+    def neighbors(self, i: int) -> tuple[int, ...]:
+        return self._adjacency[i]
 
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
 
     def edge_tensor(self, edge: tuple[int, int]) -> np.ndarray:
-        key = _canonical_edge(*edge)
+        """The read-only tensor stored for (min, max) of the edge: its row
+        axis is on the smaller qubit, whichever way round ``edge`` is."""
+        key = canonical_edge(*edge)
         try:
             return self.edges[key]
         except KeyError:
@@ -124,10 +131,28 @@ def min_coupling(net: QubitNetwork) -> float:
     return float(smallest)
 
 
+def strongest_couplings(net: QubitNetwork, edge: tuple[int, int]) -> list:
+    """(alpha, beta, g) of every largest-|g| entry of the edge tensor, in
+    row-major order; alpha is the axis on the edge's smaller qubit.  These
+    are the terms the drift can run; synthesis runs the first."""
+    rows = net.edge_tensor(edge).tolist()
+    best = max(abs(g) for row in rows for g in row)
+    return [(AXES[a], AXES[b], g) for a, row in enumerate(rows)
+            for b, g in enumerate(row) if abs(g) == best]
+
+
 def edge_best_coupling(net: QubitNetwork, edge: tuple[int, int]) -> float:
     """Largest |g| entry on one edge; the scheduler evolves under this one,
     since free local rotations map it onto any axis pair."""
-    return float(np.max(np.abs(net.edge_tensor(edge))))
+    return abs(strongest_couplings(net, edge)[0][2])
+
+
+def require_full_local(net: QubitNetwork) -> None:
+    """Depths, schedules and their bounds need two free local controls per qubit."""
+    if net.control_model != "full_local":
+        raise DomainError(
+            f"the {net.control_model} control model has no full_local depth, "
+            "schedule or bound; the star graph's bound is star_term_bound")
 
 
 def geodesic_distance(net: QubitNetwork, i: int, j: int) -> int:
@@ -135,43 +160,29 @@ def geodesic_distance(net: QubitNetwork, i: int, j: int) -> int:
     for v in (i, j):
         if not 0 <= v < net.n:
             raise DomainError(f"qubit {v} outside 0..{net.n - 1}")
-    if i == j:
-        return 0
-    dist = {i: 0}
-    queue = deque([i])
-    while queue:
-        u = queue.popleft()
-        for v in net.neighbors(u):
-            if v not in dist:
-                dist[v] = dist[u] + 1
-                if v == j:
-                    return dist[v]
-                queue.append(v)
-    raise DomainError("graph is not connected")  # unreachable on valid nets
+    return _distances(net._adjacency, i)[j]
 
 
 # ---------------------------------------------------------------------------
 # presets
 
-def ising_chain(n: int, J: float = 1.0) -> QubitNetwork:
-    """Nearest-neighbour chain with drift (pi/2)*J * sum_k Z_k Z_{k+1}."""
+def _chain(n: int, J: float, axes: tuple[int, ...]) -> QubitNetwork:
+    """Nearest-neighbour chain with g[a, a] = (pi/2)*J for each a in ``axes``."""
     if n < 2:
         raise DomainError("chain needs n >= 2")
     g = np.zeros((3, 3))
-    g[2, 2] = pi / 2 * J
-    edges = {(k, k + 1): g.copy() for k in range(n - 1)}
-    return QubitNetwork(n=n, edges=edges, control_model="full_local")
+    g[axes, axes] = pi / 2 * J
+    return QubitNetwork(n=n, edges={(k, k + 1): g for k in range(n - 1)})
+
+
+def ising_chain(n: int, J: float = 1.0) -> QubitNetwork:
+    """Nearest-neighbour chain with drift (pi/2)*J * sum_k Z_k Z_{k+1}."""
+    return _chain(n, J, (2,))
 
 
 def heisenberg_chain(n: int, J: float = 1.0) -> QubitNetwork:
     """Nearest-neighbour chain with drift (pi/2)*J * sum_k (XX + YY)."""
-    if n < 2:
-        raise DomainError("chain needs n >= 2")
-    g = np.zeros((3, 3))
-    g[0, 0] = pi / 2 * J
-    g[1, 1] = pi / 2 * J
-    edges = {(k, k + 1): g.copy() for k in range(n - 1)}
-    return QubitNetwork(n=n, edges=edges, control_model="full_local")
+    return _chain(n, J, (0, 1))
 
 
 def star(n: int, J: float = 1.0) -> QubitNetwork:
@@ -236,9 +247,12 @@ def network_from_dict(data: dict) -> QubitNetwork:
     for entry in raw_edges:
         try:
             edge = (int(entry["i"]), int(entry["j"]))
-            edges[edge] = np.asarray(entry["g"], dtype=float)
+            g = np.asarray(entry["g"], dtype=float)
         except (KeyError, TypeError, ValueError):
             raise ParseError(f"malformed edge entry {entry!r}") from None
+        if edge in edges:
+            raise DomainError(f"edge {canonical_edge(*edge)} is given twice")
+        edges[edge] = g
     omega = data.get("omega")
     model = data.get("control_model", "full_local")
     return QubitNetwork(n=n, edges=edges, omega=omega, control_model=model)

@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .errors import DimensionError, DomainError, ResourceLimitError
-from .network import AXES, QubitNetwork, edge_best_coupling
+from .network import AXES, QubitNetwork, strongest_couplings
 from .pauli import single, to_matrix, two_body
 from .synthesis import LocalRotation, TwoBodyEvolution
 
@@ -92,15 +92,16 @@ def unitary_of_schedule(net: QubitNetwork, schedule) -> np.ndarray:
             before = pending.get(prim.qubit)
             pending[prim.qubit] = G if before is None else G @ before
         elif isinstance(prim, TwoBodyEvolution):
-            best = edge_best_coupling(net, prim.edge)  # raises on unknown edges
-            g = net.edge_tensor(prim.edge)
+            strongest = strongest_couplings(net, prim.edge)  # raises on unknown edges
+            g_used = prim.g_used
             # the drift term g*s_a s_b only ever runs as exp(-i*t*g*s_a s_b)
-            if (not np.isclose(g[np.abs(g) == best], prim.g_used, rtol=1e-9, atol=0.0).any()
-                    or prim.sign != (-1 if prim.g_used > 0 else 1)):
+            if (not (math.isfinite(g_used) and any(
+                    abs(g - g_used) <= 1e-9 * abs(g_used) for _, _, g in strongest))
+                    or prim.sign != (-1 if g_used > 0 else 1)):
                 raise DomainError(
-                    f"evolution claims sign {prim.sign:+d} on coupling {prim.g_used} "
+                    f"evolution claims sign {prim.sign:+d} on coupling {g_used} "
                     f"of edge {prim.edge}, but the drift runs its strongest "
-                    f"entries, +-{best}, with sign -sgn(g) only")
+                    f"entries, +-{abs(strongest[0][2])}, with sign -sgn(g) only")
             for q in prim.edge:
                 if q in pending:
                     U = _on_qubit(U, q, pending.pop(q))

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 from .bounds import GeneratorSpec, min_trotter_steps
 from .depth import DepthResult, GROW, depth as witness_depth
 from .errors import DomainError, ParseError
-from .network import AXES, QubitNetwork, dump_json, read_json
+from .network import AXES, QubitNetwork, dump_json, read_json, require_full_local
+from .network import strongest_couplings
 from .pauli import PauliString, commutator, multiply, two_body
 
 _UNIT = {"x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0), "z": (0.0, 0.0, 1.0)}
@@ -200,13 +201,6 @@ def _flip(qubit: int, axis: str, angles: tuple):
     return [LocalRotation(qubit, other, -t) for t in reversed(angles)], rot
 
 
-def _native_coupling(net: QubitNetwork, edge: tuple[int, int]):
-    """Strongest entry of the edge tensor: (alpha, beta, signed value)."""
-    g = net.edge_tensor(edge)
-    a, b = max(((a, b) for a in range(3) for b in range(3)), key=lambda ab: abs(g[ab]))
-    return AXES[a], AXES[b], float(g[a, b])
-
-
 def select_two_body(
     net: QubitNetwork,
     edge: tuple[int, int],
@@ -231,7 +225,7 @@ def select_two_body(
         alpha, beta = beta, alpha
     if k == 0.0:
         return empty_schedule(net.n)
-    a0, b0, g0 = _native_coupling(net, (u, v))
+    a0, b0, g0 = strongest_couplings(net, (u, v))[0]
     native_sign = -1 if g0 > 0 else 1  # evolving exp(-i*t*g0*...) for t=k/|g0|
     evo = TwoBodyEvolution(edge=(u, v), alpha=a0, beta=b0,
                            sign=native_sign, angle=k, g_used=g0)
@@ -291,8 +285,7 @@ def synth_pauli_term(net: QubitNetwork, a: float, word: PauliString) -> Schedule
     conjugation ladder along a shortest depth witness; total duration never
     exceeds (depth*pi/2 + |a|)/J.
     """
-    if net.control_model != "full_local":
-        raise DomainError("synthesis requires the full_local control model")
+    require_full_local(net)
     if word.n != net.n:
         raise DomainError(
             f"word on {word.n} qubits does not match network of {net.n}"
@@ -350,8 +343,7 @@ def synth_generator(
     the smallest step count whose product-formula error bound fits epsilon.
     Term order is the input order.
     """
-    if net.control_model != "full_local":
-        raise DomainError("synthesis requires the full_local control model")
+    require_full_local(net)
     if spec.n != net.n:
         raise DomainError(
             f"generator on {spec.n} qubits does not match network of {net.n}"

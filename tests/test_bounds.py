@@ -31,7 +31,7 @@ from gatebound import bounds
 from gatebound.bounds import spec_from_list, spec_to_list
 from gatebound.cli import main
 from gatebound.errors import DomainError
-from gatebound.network import ising_chain
+from gatebound.network import ising_chain, star
 from gatebound.pauli import parse_pauli
 
 from helpers import (
@@ -372,6 +372,17 @@ class TestNamedBounds:
             assert two_qubit_bound(net, i, j) == pytest.approx(3 * cnot_bound(net, i, j))
         with pytest.raises(DomainError):
             cnot_bound(net, 2, 2)
+
+    def test_reduced_control_networks_are_refused(self):
+        # the full-local formulas do not hold for the star's reduced controls
+        net = star(4)
+        spec = GeneratorSpec(((0.5, parse_pauli("ZZZZ")),))
+        for call in (lambda: bound_report(spec, net, 0.1),
+                     lambda: run_time_bound(spec, net, 0.1),
+                     lambda: cnot_bound(net, 0, 1),
+                     lambda: two_qubit_bound(net, 1, 2)):
+            with pytest.raises(DomainError, match="star_term_bound"):
+                call()
 
     def test_nbody_chain(self):
         assert nbody_chain_bound(3, 1, math.pi / 2) == pytest.approx(1.5)

@@ -19,6 +19,8 @@ from gatebound.network import load_network
 from gatebound.pauli import PauliString, format_pauli
 from gatebound.synthesis import load_schedule, save_schedule, synth_generator
 
+from helpers import random_connected_network, random_spec
+
 THREE_PATH = {
     "n": 3,
     "control_model": "full_local",
@@ -234,16 +236,6 @@ def test_scan_checks_every_time_before_optimizing(tmp_path, capsys):
     assert time.perf_counter() - start < 1.0
     assert rc == 3
     assert "finite" in _one_line_error(capsys)
-
-
-def test_ci_mode_requires_seed(tmp_path):
-    net = tmp_path / "net2.json"
-    net.write_text(json.dumps({"preset": "ising_chain", "n": 2, "J": 1.0}))
-    target = tmp_path / "t.json"
-    target.write_text(json.dumps([{"coeff": 0.7, "pauli": "ZZ"}]))
-    rc = main(["--ci", "grape", str(net), str(target), "--time", "0.5",
-               "--slices", "4", "--restarts", "1", "--max-iters", "10"])
-    assert rc == 3
 
 
 def test_compare_three_spin(tmp_path, capsys):
@@ -480,3 +472,65 @@ def test_synth_with_infinite_duration_is_a_domain_error(tmp_path, capsys):
     assert main(["synth", str(net), str(target), "--epsilon", "0.05", "-o", str(out)]) == 3
     assert "not finite" in _one_line_error(capsys)
     assert not out.exists()
+
+
+def test_verify_refuses_non_finite_results_before_simulating(tmp_path, capsys, monkeypatch):
+    import gatebound.simulator as sim
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("simulated a schedule whose duration is not finite")
+
+    monkeypatch.setattr(sim, "target_unitary", refuse)
+    monkeypatch.setattr(sim, "unitary_of_schedule", refuse)
+    net, target = tmp_path / "net.json", tmp_path / "zz.json"
+    net.write_text(json.dumps({"n": 2, "edges": [
+        {"i": 0, "j": 1, "g": [[0, 0, 0], [0, 0, 0], [0, 0, 5e-324]]}]}))
+    target.write_text(json.dumps([{"coeff": 0.5, "pauli": "ZZ"}]))
+    assert main(["verify", str(net), str(target), "--epsilon", "0.05"]) == 3
+    assert "not finite" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("command", ["bound", "verify"])
+def test_star_reduced_network_gets_no_full_local_bound(tmp_path, capsys, command):
+    net, target = tmp_path / "star.json", tmp_path / "zzzz.json"
+    net.write_text(json.dumps({"preset": "star", "n": 4}))
+    target.write_text(json.dumps([{"coeff": 0.5, "pauli": "ZZZZ"}]))
+    assert main([command, str(net), str(target), "--epsilon", "0.1"]) == 3
+    assert "star_term_bound" in _one_line_error(capsys)
+
+
+def _edge_list(net, reverse):
+    """JSON edge entries of a network, each listed (j, i) with g transposed
+    when ``reverse``."""
+    return [{"i": j, "j": i, "g": g.T.tolist()} if reverse else
+            {"i": i, "j": j, "g": g.tolist()} for (i, j), g in net.edges.items()]
+
+
+def test_reversed_edge_listing_synthesizes_and_verifies_the_same(tmp_path, capsys):
+    rng = np.random.default_rng(83)
+    for n in (3, 4, 5):
+        net = random_connected_network(rng, n, extra_edges=1, entries_per_edge=4)
+        target = tmp_path / "target.json"
+        spec = random_spec(rng, n, 2, min_weight=2)
+        target.write_text(json.dumps([{"coeff": a, "pauli": str(w)} for a, w in spec.terms]))
+        outputs = []
+        for reverse in (False, True):
+            graph, schedule = tmp_path / f"net{reverse}.json", tmp_path / f"s{reverse}.json"
+            graph.write_text(json.dumps({"n": n, "edges": _edge_list(net, reverse)}))
+            common = [str(graph), str(target), "--epsilon", "0.05"]
+            assert main(["synth", *common, "-o", str(schedule)]) == 0
+            assert main(["verify", *common, "--schedule", str(schedule)]) == 0
+            assert main(["verify", *common]) == 0
+            outputs.append((schedule.read_bytes(), capsys.readouterr().out))
+        assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("second", [(0, 1), (1, 0)], ids=["exact-repeat", "reversed"])
+def test_pair_listed_twice_exits_3(tmp_path, zzz_target, capsys, second):
+    g = [[0, 0, 0], [0, 0, 0], [0, 0, 1.0]]
+    net = tmp_path / "net.json"
+    net.write_text(json.dumps({"n": 3, "edges": [
+        {"i": 0, "j": 1, "g": g}, {"i": 1, "j": 2, "g": g},
+        {"i": second[0], "j": second[1], "g": g}]}))
+    assert main(["bound", str(net), zzz_target, "--epsilon", "0.05"]) == 3
+    assert "edge (0, 1) is given twice" in _one_line_error(capsys)

@@ -2,6 +2,7 @@
 
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import scipy.linalg
 
 from gatebound import (
     GeneratorSpec,
+    QubitNetwork,
     control_operators,
     gradient,
     heisenberg_chain,
@@ -276,6 +278,22 @@ class TestOptimize:
             optimize(net, target, T=1.0, tol=0.0, seed=1)
         with pytest.raises(DomainError):
             optimize(net, np.eye(2, dtype=complex), T=1.0, seed=1)
+
+    @pytest.mark.parametrize("J, tiny, T", [(1e308, None, 1.0), (1e308, 5e-324, 1e-300),
+                                            (1e300, None, 1e300), (1.0, None, 1e308)],
+                             ids=["amplitude-range", "spectrum", "phase", "huge-time"])
+    def test_unrepresentable_slice_exponentials_are_a_domain_error(self, J, tiny, T):
+        # near the float limit the initial amplitude range, the slice spectra
+        # or the phases dt*lambda overflow; none may end in a traceback, a
+        # warning or an infinite infidelity
+        edges = {(0, 1): np.diag([J, 0.0, 0.0]), (1, 2): np.diag([0.0, J, 0.0])}
+        if tiny is not None:  # keeps the initial amplitudes small
+            edges[(0, 2)] = np.diag([0.0, 0.0, tiny])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                optimize(QubitNetwork(n=3, edges=edges), np.eye(8, dtype=complex), T=T,
+                         N=4, restarts=1, max_iters=5)
 
     @pytest.mark.parametrize("T", [math.nan, math.inf, 0.0])
     def test_pulse_set_needs_finite_positive_time(self, T):

@@ -16,10 +16,17 @@ from gatebound import (
     star,
 )
 from gatebound.errors import DomainError, ParseError
-from gatebound.network import load_network, network_from_dict, network_to_dict
+from gatebound.network import (
+    dump_json,
+    load_network,
+    network_from_dict,
+    network_to_dict,
+    strongest_couplings,
+)
 from gatebound.simulator import drift_matrix
+from gatebound.synthesis import schedule_to_dict, synth_pauli_term
 
-from helpers import kron_word, random_connected_network, uniform_chain
+from helpers import kron_word, random_connected_network, random_word, uniform_chain
 
 
 def test_min_coupling_uniform_chain():
@@ -151,3 +158,80 @@ def test_preset_shorthand_and_parse_errors(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ParseError):
         load_network(bad)
+
+
+def reversed_listing(net):
+    """The same network with every edge listed as (j, i) and its tensor
+    transposed, so that g[a][b] still couples axis a of i to axis b of j."""
+    return QubitNetwork(n=net.n, edges={(j, i): g.T for (i, j), g in net.edges.items()},
+                        omega=net.omega, control_model=net.control_model)
+
+
+class TestEdgeOrientation:
+    def test_reversed_edge_couples_the_documented_axes(self):
+        # g[0][2] on edge (1, 0) is X on qubit 1 and Z on qubit 0
+        g = [[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
+        net = network_from_dict({"n": 2, "edges": [{"i": 1, "j": 0, "g": g}]})
+        assert list(net.edges) == [(0, 1)]
+        assert net.edge_tensor((1, 0)).tolist() == np.array(g).T.tolist()
+        assert np.array_equal(drift_matrix(net), kron_word("ZX"))
+        assert strongest_couplings(net, (1, 0)) == [("z", "x", 1.0)]
+
+    def test_reversed_listing_is_the_same_network(self):
+        rng = np.random.default_rng(61)
+        for n in range(3, 9):
+            net = random_connected_network(rng, n, extra_edges=2, entries_per_edge=4)
+            assert any(not np.array_equal(g, g.T) for g in net.edges.values())
+            rev = reversed_listing(net)
+            assert list(rev.edges) == list(net.edges)
+            for edge, g in net.edges.items():
+                assert np.array_equal(rev.edges[edge], g)
+            assert np.array_equal(drift_matrix(rev), drift_matrix(net))
+            assert network_to_dict(rev) == network_to_dict(net)
+            for _ in range(4):
+                word = random_word(rng, n, min_weight=2)
+                a = float(rng.uniform(-2, 2))
+                assert (dump_json(schedule_to_dict(synth_pauli_term(rev, a, word)))
+                        == dump_json(schedule_to_dict(synth_pauli_term(net, a, word))))
+
+    def test_a_pair_given_twice_is_a_domain_error(self):
+        g = np.eye(3)
+        with pytest.raises(DomainError, match=r"edge \(0, 1\) is given twice"):
+            QubitNetwork(n=2, edges={(0, 1): g, (1, 0): g})
+        entry = {"i": 1, "j": 0, "g": g.tolist()}
+        for repeat in (entry, {"i": 0, "j": 1, "g": g.tolist()}):
+            with pytest.raises(DomainError, match=r"edge \(0, 1\) is given twice"):
+                network_from_dict({"n": 2, "edges": [entry, repeat]})
+
+
+def max_abs_pick(g):
+    """First largest-|g| entry in row-major order, picked by max(key=abs)."""
+    a, b = max(((a, b) for a in range(3) for b in range(3)), key=lambda ab: abs(g[ab]))
+    return "xyz"[a], "xyz"[b], float(g[a, b])
+
+
+class TestStrongestCouplings:
+    def test_first_is_the_max_abs_pick(self):
+        tensors = []
+        for slot in range(9):
+            for value in (1.0, -0.5):
+                g = np.zeros((3, 3))
+                g.flat[slot] = value
+                tensors.append(g)
+        tensors += [np.diag([1.0, 1.0, 0.0]), np.diag([1.0, -1.0, 1.0])]
+        rng = np.random.default_rng(71)
+        # entries from a small set, so most tensors have tied maxima
+        tensors += [g for g in rng.choice([0.0, 0.5, -0.5, 1.0, -1.0], size=(200, 3, 3))
+                    if np.any(g)]
+        for g in tensors:
+            net = QubitNetwork(n=2, edges={(0, 1): g})
+            strongest = strongest_couplings(net, (0, 1))
+            assert strongest[0] == max_abs_pick(g)
+            best = np.max(np.abs(g))
+            assert [(a, b) for a, b, _ in strongest] == [
+                ("xyz"[a], "xyz"[b]) for a, b in zip(*np.nonzero(np.abs(g) == best))]
+            assert edge_best_coupling(net, (1, 0)) == float(best)
+
+    def test_unknown_edge_is_a_domain_error(self):
+        with pytest.raises(DomainError):
+            strongest_couplings(uniform_chain(3), (0, 2))

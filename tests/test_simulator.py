@@ -123,6 +123,28 @@ class TestScheduleUnitary:
         with pytest.raises(DimensionError):
             unitary_of_schedule(net, empty_schedule(2))
 
+    @pytest.mark.parametrize("g", [np.diag([1.0, 1.0, 0.0]), np.diag([1.0, -1.0, 1.0]),
+                                   np.array([[0.0, 0.2, 0.0], [0.0, 0.0, -0.75], [0.0] * 3])],
+                             ids=["xx+yy", "diag-tie", "single"])
+    def test_accepts_g_used_as_np_isclose_does(self, g):
+        # the drift runs g_used iff it lies within 1e-9 relative of a
+        # strongest entry (np.isclose with rtol=1e-9, atol=0, which refuses
+        # infinities) and the sign is -sgn(g_used)
+        net = QubitNetwork(n=2, edges={(0, 1): g})
+        best = float(np.max(np.abs(g)))
+        strongest = g[np.abs(g) == best]
+        values = [sgn * best * (1 + d) for sgn in (1, -1)
+                  for d in (0.0, 5e-10, -5e-10, 2e-9, -2e-9)]
+        for g_used in values + [math.inf, -math.inf, math.nan]:
+            close = bool(np.isclose(strongest, g_used, rtol=1e-9, atol=0.0).any())
+            for sign in (1, -1):
+                schedule = Schedule(2, (TwoBodyEvolution((0, 1), "z", "x", sign, 0.3, g_used),))
+                if close and sign == (-1 if g_used > 0 else 1):
+                    unitary_of_schedule(net, schedule)
+                else:
+                    with pytest.raises(DomainError):
+                        unitary_of_schedule(net, schedule)
+
     def test_rejects_unrealizable_coupling(self):
         net = uniform_chain(2, g=1.0)
         s = Schedule(2, (TwoBodyEvolution((0, 1), "z", "z", 1, 0.5, 7.0),))
