@@ -195,8 +195,8 @@ def optimize(
     reported outcome, not an error.
     """
     _check_time(T)
-    if N < 1 or restarts < 1 or max_iters < 1:
-        raise DomainError("need N, restarts and max_iters >= 1")
+    if N < 1 or restarts < 1 or max_iters < 1 or seed < 0:
+        raise DomainError("need N, restarts and max_iters >= 1 and seed >= 0")
     if not (math.isfinite(tol) and tol > 0):
         raise DomainError(f"tol must be finite and positive, got {tol}")
     Hk, H0 = np.array(control_operators(net)), drift_matrix(net)

@@ -11,6 +11,7 @@ Text form: one uppercase character of ``IXYZ`` per qubit, qubit 0 leftmost.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from math import ldexp, sqrt
 
@@ -61,8 +62,8 @@ class PauliString:
     @property
     def support(self) -> tuple[int, ...]:
         """Sorted qubits carrying a non-identity factor."""
-        occ = self.x_bits | self.z_bits
-        return tuple(i for i in range(self.n) if occ >> i & 1)
+        digits = f"{self.x_bits | self.z_bits:b}"[::-1]  # digit i is qubit i
+        return tuple(m.start() for m in re.finditer("1", digits))
 
     @property
     def is_identity(self) -> bool:

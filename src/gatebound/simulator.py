@@ -1,12 +1,11 @@
 """Verification: exact unitaries and the two error metrics.
 
-Schedules are simulated qubit-locally: each primitive acts on U through its
-own one or two qubit axes, never as a 2**n x 2**n matrix, and a Pauli pair
-as axis flips and phases.  Targets and drift Hamiltonians are dense Pauli
-sums, independent of the schedule simulation: one term exponentiates in
-closed form, several through an eigendecomposition.  Every exponential is
-exact to machine precision (cos + i*sin for involutory generators); no
-series truncation is involved anywhere.
+Schedules are simulated qubit-locally, in work arrays allocated once per
+call: each primitive acts on U through its own one or two qubit axes, never
+as a 2**n x 2**n matrix, and a Pauli pair as axis flips and phases.  A
+one-term target is cos(a)*I + i*sin(a)*P with P written from the word's bit
+masks; several terms and the drift are dense Pauli sums, and a sum's
+exponential comes from an eigendecomposition.  No series is truncated.
 """
 
 from __future__ import annotations
@@ -44,7 +43,16 @@ def target_unitary(spec) -> np.ndarray:
     dim = 2 ** spec.n
     if spec.l == 1:
         ((a, p),) = spec.terms
-        return math.cos(a) * np.eye(dim) + (1j * math.sin(a)) * to_matrix(p)
+        # P|r> = i**#Y * (-1)**popcount(r & z) |r ^ x>, masks as index bits
+        signs = np.ones(1)
+        for q in range(spec.n):  # qubit 0 is the most significant index bit
+            signs = np.kron(signs, (1, -1) if p.z_bits >> q & 1 else (1, 1))
+        cols = np.arange(dim)
+        U = np.zeros((dim, dim), dtype=complex)
+        U[cols ^ int(f"{p.x_bits:0{spec.n}b}"[::-1], 2), cols] = (1j * math.sin(a)) * (
+            1j ** ((p.x_bits & p.z_bits).bit_count() % 4) * signs)
+        U[cols, cols] += math.cos(a)
+        return U
     H = np.zeros((dim, dim), dtype=complex)
     for a, p in spec.terms:
         H += a * to_matrix(p)
@@ -57,9 +65,9 @@ def expi_hermitian(H: np.ndarray) -> np.ndarray:
     return (vecs * np.exp(1j * vals)) @ vecs.conj().T
 
 
-def _on_qubit(U: np.ndarray, q: int, G: np.ndarray) -> np.ndarray:
-    """G (2 x 2) applied to qubit q of U from the left, qubit 0 leftmost."""
-    return (G @ U.reshape(2 ** q, 2, -1)).reshape(U.shape)
+def _on_qubit(U: np.ndarray, q: int, G: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """G (2 x 2) applied to qubit q of U from the left into out, qubit 0 leftmost."""
+    return np.matmul(G, U.reshape(2 ** q, 2, -1), out=out.reshape(2 ** q, 2, -1)).reshape(U.shape)
 
 
 def unitary_of_schedule(net: QubitNetwork, schedule) -> np.ndarray:
@@ -77,6 +85,7 @@ def unitary_of_schedule(net: QubitNetwork, schedule) -> np.ndarray:
         )
     n = schedule.n
     U = np.eye(2 ** n, dtype=complex)
+    W, T = np.empty_like(U), np.empty_like(U)
     pending = {}  # qubit -> product of its local rotations not yet applied
     for prim in schedule.primitives:
         if isinstance(prim, LocalRotation):
@@ -104,15 +113,17 @@ def unitary_of_schedule(net: QubitNetwork, schedule) -> np.ndarray:
                     f"entries, +-{abs(strongest[0][2])}, with sign -sgn(g) only")
             for q in prim.edge:
                 if q in pending:
-                    U = _on_qubit(U, q, pending.pop(q))
+                    U, W = _on_qubit(U, q, pending.pop(q), W), U
             (i, a), (j, b) = sorted(zip(prim.edge, (prim.alpha, prim.beta)))
-            V = U.reshape(2 ** i, 2, 2 ** (j - i - 1), 2, -1)
+            V, W5, T5 = (A.reshape(2 ** i, 2, 2 ** (j - i - 1), 2, -1) for A in (U, W, T))
             phase = (1j * prim.sign * math.sin(prim.angle)) * _PAIR_PHASE[a, b]
-            U = (math.cos(prim.angle) * V + V[:, _FLIP[a], :, _FLIP[b]] * phase).reshape(U.shape)
+            np.multiply(V[:, _FLIP[a], :, _FLIP[b]], phase, out=T5)
+            np.add(np.multiply(V, math.cos(prim.angle), out=W5), T5, out=W5)
+            U, W = W, U
         else:
             raise DomainError(f"unknown primitive {prim!r}")
     for q, G in pending.items():
-        U = _on_qubit(U, q, G)
+        U, W = _on_qubit(U, q, G, W), U
     # a huge repeat count can overflow the rounding of U into inf/nan, which
     # unitarity_defect then reports; no warning is needed on the way
     with np.errstate(over="ignore", invalid="ignore"):
@@ -124,16 +135,19 @@ def drift_matrix(net: QubitNetwork) -> np.ndarray:
     _check_cap(net.n)
     dim = 2 ** net.n
     H = np.zeros((dim, dim), dtype=complex)
-    for q in range(net.n):
-        for a, name in enumerate(AXES):
-            w = net.omega[q, a]
-            if w != 0.0:
-                H += w * to_matrix(single(net.n, q, name))
-    for (i, j), g in net.edges.items():
-        for a, aname in enumerate(AXES):
-            for b, bname in enumerate(AXES):
-                if g[a, b] != 0.0:
-                    H += g[a, b] * to_matrix(two_body(net.n, i, aname, j, bname))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for q in range(net.n):
+            for a, name in enumerate(AXES):
+                w = net.omega[q, a]
+                if w != 0.0:
+                    H += w * to_matrix(single(net.n, q, name))
+        for (i, j), g in net.edges.items():
+            for a, aname in enumerate(AXES):
+                for b, bname in enumerate(AXES):
+                    if g[a, b] != 0.0:
+                        H += g[a, b] * to_matrix(two_body(net.n, i, aname, j, bname))
+    if not np.isfinite(H).all():
+        raise DomainError("drift Hamiltonian overflows: splittings or couplings too large")
     return H
 
 

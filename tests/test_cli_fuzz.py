@@ -1,6 +1,6 @@
 """Seeded fuzz of the command line: every input ends in a documented exit
 code, successful and failed-verification outputs are finite JSON, pulse
-CSVs are finite, and no call takes long."""
+CSVs are finite, and no call takes long.  Any warning fails the module."""
 
 import contextlib
 import io
@@ -10,6 +10,7 @@ import tempfile
 import time
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,6 +22,16 @@ EPSILONS = (2.0, 0.3, 0.05, 1e-9, 1e-300)
 TIMES = ("0.5", "2", "1e-300", "1e300")
 GRAPE_FLAGS = ("--slices", "4", "--restarts", "1", "--max-iters", "5")
 CALL_SECONDS = 10.0
+# compare's pulse flags: (in-domain values, out-of-domain values)
+COMPARE_FLAGS = {"--slices": (("1", "4"), ("0", "-3", "1000000000")),
+                 "--restarts": (("1", "2"), ("0",)),
+                 "--max-iters": (("1", "5"), ("0",)),
+                 "--tol": (("1e-3", "2.0", "1e-300"), ("0", "-1", "nan", "inf")),
+                 "--seed": (("0", "1", "18446744073709551616"), ("-1",))}
+
+# every warning is an error; deprecations stay warnings, as hypothesis's own
+# failure report imports a deprecated module
+pytestmark = pytest.mark.filterwarnings("error", "default::DeprecationWarning")
 
 
 @st.composite
@@ -64,6 +75,15 @@ def cases(draw):
     depth_arg = draw(st.sampled_from(["--table"] + words))
     return (draw(networks(n)), terms, draw(st.sampled_from(EPSILONS)), depth_arg,
             draw(st.sampled_from(TIMES)))
+
+
+@st.composite
+def compare_flags(draw):
+    """Each flag out of domain one time in four, so most calls run to the end."""
+    argv = []
+    for flag, (valid, invalid) in COMPARE_FLAGS.items():
+        argv += [flag, draw(st.sampled_from(invalid if draw(st.integers(0, 3)) == 0 else valid))]
+    return argv
 
 
 def _reject_constant(name):
@@ -125,3 +145,23 @@ def test_cli_ends_in_a_documented_exit_code(case):
             code, out = _run([*argv, *GRAPE_FLAGS])
             if code == 0:
                 _finite_csv(out)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(st.sampled_from(["3spin-ising", "4spin-heisenberg"]), compare_flags(), st.booleans())
+def test_compare_ends_in_a_documented_exit_code(case, flags, with_pulses):
+    with tempfile.TemporaryDirectory() as tmp:
+        pulses_path = Path(tmp) / "pulses.csv"
+        argv = ["compare", "--case", case, *flags]
+        code, out = _run(argv + (["--pulses", str(pulses_path)] if with_pulses else []))
+        if code != 0:
+            return
+        header, row, *rest = out.splitlines()
+        assert not rest and header == "case,T_exact,T_bound,T_grape,grape_infidelity,converged"
+        name, t_exact, *numbers, converged = row.split(",")
+        assert name == case and converged in ("true", "false")
+        # the exact minimum is known for 3 spins only; 4 spins print nan
+        assert math.isfinite(float(t_exact)) == (case == "3spin-ising")
+        assert all(math.isfinite(float(x)) for x in numbers), row
+        if with_pulses:
+            _finite_csv(pulses_path.read_text())

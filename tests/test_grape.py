@@ -278,6 +278,8 @@ class TestOptimize:
             optimize(net, target, T=1.0, tol=0.0, seed=1)
         with pytest.raises(DomainError):
             optimize(net, np.eye(2, dtype=complex), T=1.0, seed=1)
+        with pytest.raises(DomainError):
+            optimize(net, target, T=1.0, seed=-1)
 
     @pytest.mark.parametrize("J, tiny, T", [(1e308, None, 1.0), (1e308, 5e-324, 1e-300),
                                             (1e300, None, 1e300), (1.0, None, 1e308)],

@@ -224,6 +224,14 @@ def test_weight_and_support():
         PauliString(0, 0, 0)
 
 
+def test_support_matches_per_qubit_definition():
+    for n in range(1, 6):
+        for p in all_strings(n):
+            occ = p.x_bits | p.z_bits
+            assert p.support == tuple(q for q in range(n) if occ >> q & 1), p
+    assert parse_pauli("Z" + "I" * 1998 + "X").support == (0, 1999)
+
+
 def test_symplectic_bits_match_the_masks():
     rng = np.random.default_rng(31)
     for n in (1, 7, 8, 9, 64, 130):

@@ -3,6 +3,7 @@
 import cmath
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from gatebound.simulator import drift_matrix, expi_hermitian, unitarity_defect
 from gatebound.synthesis import LocalRotation, Schedule, TwoBodyEvolution, empty_schedule
 
 from helpers import (
+    all_strings,
     kron_word,
     matmul_schedule_unitary,
     random_connected_network,
@@ -90,11 +92,30 @@ class TestTargetUnitary:
         with pytest.raises(ResourceLimitError):
             target_unitary(spec)
 
+    def test_single_term_equals_kronecker_form_exactly(self):
+        # the target is written from the word's bit masks; it must equal
+        # cos(a)*I + i*sin(a)*P with P the Kronecker chain, entry for entry
+        rng = np.random.default_rng(24)
+        words = [w for n in range(1, 5) for w in all_strings(n, min_weight=1)]
+        words += [random_word(rng, n) for n in (8, 10) for _ in range(3)]
+        for w in words:
+            for a in (0.7853981633974483, -1.3, 2.9):
+                expected = (math.cos(a) * np.eye(2 ** w.n)
+                            + (1j * math.sin(a)) * kron_word(str(w)))
+                assert np.array_equal(target_unitary(GeneratorSpec(((a, w),))), expected), w
+
 
 class TestScheduleUnitary:
     def test_empty_schedule_is_identity(self):
         net = uniform_chain(2)
         assert np.array_equal(unitary_of_schedule(net, empty_schedule(2)), np.eye(4))
+
+    def test_calls_return_equal_arrays_that_share_no_memory(self):
+        rng = np.random.default_rng(9)
+        net = _signed_network(rng, 5)
+        s = Schedule(5, _random_schedule(rng, net), repeat=1)
+        U, V = unitary_of_schedule(net, s), unitary_of_schedule(net, s)
+        assert np.array_equal(U, V) and not np.shares_memory(U, V)
 
     def test_single_two_body_evolution(self):
         # the drift -ZZ runs forward as exp(+i*t*ZZ)
@@ -316,6 +337,20 @@ class TestErrorMetrics:
             normalized_error(np.eye(2), np.eye(4))
         with pytest.raises(DimensionError):
             gate_infidelity(np.eye(2), np.eye(4))
+
+
+class TestDriftMatrix:
+    @pytest.mark.parametrize("n, edges, omega", [
+        (2, {(0, 1): np.full((3, 3), 1e308)}, None),
+        (3, {(0, 1): np.diag([0.0, 0.0, 1e308]), (1, 2): np.diag([0.0, 0.0, 1e308])}, None),
+        (3, {(0, 1): np.eye(3), (1, 2): np.eye(3)}, [[0.0, 0.0, 1e308]] * 3)],
+        ids=["one-edge", "two-edges", "omega"])
+    def test_overflow_is_a_domain_error_without_warning(self, n, edges, omega):
+        net = QubitNetwork(n=n, edges=edges, omega=omega)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="overflows"):
+                drift_matrix(net)
 
 
 class TestUnitarity:
