@@ -2,7 +2,7 @@
 
 Angles are radians; times are in units of 1/J of the input file's coupling
 entries (everything is dimensionless internally).  Exit codes: 0 success,
-2 parse error, 3 domain error, 4 verification failure.
+2 parse or file error, 3 domain error, 4 verification failure.
 
 Commands::
 
@@ -313,7 +313,7 @@ def main(argv=None) -> int:
         # so the interpreter's last flush does not raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return code
-    except (ParseError, FileNotFoundError) as exc:
+    except (ParseError, OSError) as exc:  # unreadable or unwritable paths too
         sys.stderr.write(f"parse error: {exc}\n")
         return EXIT_PARSE
     except DomainError as exc:

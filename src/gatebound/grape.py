@@ -14,6 +14,8 @@ one matrix product over all slices and controls.
 Control operators follow the network's control model: x and y on every
 qubit for ``full_local``; x and y on the hub plus z on every leaf for
 ``star_reduced``.
+
+SciPy serves only ``optimize`` (L-BFGS-B) and is imported on its first call.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from .errors import DomainError, ResourceLimitError
 from .network import QubitNetwork, min_coupling
@@ -208,6 +209,7 @@ def optimize(
     span = INIT_SCALE * min_coupling(net)
     if not math.isfinite(2 * span):  # the initial amplitudes need a finite range
         raise DomainError("couplings too large for pulse optimization")
+    import scipy.optimize  # not at the top: it would triple every command's start-up
 
     best = None  # (infidelity, restart, amplitudes, evals)
     for r in range(restarts):

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 from .bounds import GeneratorSpec, min_trotter_steps
 from .depth import DepthResult, GROW, depth as witness_depth
@@ -314,13 +315,12 @@ def synth_pauli_term(net: QubitNetwork, a: float, word: PauliString) -> Schedule
 
     wraps = []
     for q in conjugators:
-        u, v = min(q.support), max(q.support)
-        la, lb = _word_edge_labels(q, (u, v))
-        wraps.append(select_two_body(net, (u, v), la, lb, 1, math.pi / 4).primitives)
+        edge = q.support  # a two-body word: its two qubits in order
+        la, lb = _word_edge_labels(q, edge)
+        wraps.append(select_two_body(net, edge, la, lb, 1, math.pi / 4).primitives)
     # time order: outermost wrap first, then inner wraps, core, and unwinds
-    prims = sum(reversed(wraps), ()) + core.primitives
-    prims += sum((_unwrap(w) for w in wraps), ())
-    return Schedule(net.n, prims)
+    prims = chain(*reversed(wraps), core.primitives, *map(_unwrap, wraps))
+    return Schedule(net.n, tuple(prims))
 
 
 def _unwrap(wrap: tuple) -> tuple:

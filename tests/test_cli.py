@@ -69,6 +69,19 @@ def test_missing_file_exit_2(zzz_target):
     assert main(["bound", "nope.json", zzz_target, "--epsilon", "0.1"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["bound", "{dir}", "{target}", "--epsilon", "0.05"],
+    ["bound", "{net}", "{dir}", "--epsilon", "0.05"],
+    ["verify", "{net}", "{target}", "--epsilon", "0.05", "--schedule", "{dir}"],
+    ["bound", "{net}", "{target}", "--epsilon", "0.05", "-o", "{dir}"],
+], ids=["graph", "target", "schedule", "output"])
+def test_directory_in_place_of_a_file_exit_2(argv, three_path, zzz_target,
+                                             tmp_path, capsys):
+    paths = {"dir": str(tmp_path), "net": three_path, "target": zzz_target}
+    assert main([a.format(**paths) for a in argv]) == 2
+    assert "parse error" in capsys.readouterr().err
+
+
 def test_depth_table_five_path(tmp_path, capsys):
     net = tmp_path / "p5.json"
     net.write_text(json.dumps({
@@ -321,6 +334,37 @@ def test_huge_coefficients_exit_3(three_path, tmp_path):
     target.write_text(json.dumps([{"coeff": 1e300, "pauli": "XZI"},
                                   {"coeff": 1e300, "pauli": "ZZI"}]))
     assert main(["bound", three_path, str(target), "--epsilon", "0.05"]) == 3
+
+
+_SCIPY_PROBE = """
+import sys
+import gatebound as gb
+from gatebound.cli import main
+
+net, target, schedule = sys.argv[1:]
+assert [main(argv) for argv in (
+    ["bound", net, target, "--epsilon", "0.05"],
+    ["depth", net, "ZIZ"],
+    ["synth", net, target, "--epsilon", "0.05", "-o", schedule],
+    ["verify", net, target, "--epsilon", "0.05", "--schedule", schedule],
+)] == [0, 0, 0, 0]
+loaded = [m for m in sys.modules if m.partition(".")[0] == "scipy"]
+assert not loaded, loaded
+zz = gb.target_unitary(gb.GeneratorSpec(((0.7, gb.parse_pauli("ZZ")),)))
+gb.optimize(gb.ising_chain(2), zz, 1.0, N=4, max_iters=3)
+assert "scipy.optimize" in sys.modules
+"""
+
+
+def test_scipy_loads_only_when_a_pulse_is_optimized(three_path, zzz_target,
+                                                     tmp_path):
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(gatebound.__file__).resolve().parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, three_path, zzz_target,
+         str(tmp_path / "s.json")],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_closed_stdout_pipe_exits_quietly(three_path, zzz_target):
