@@ -11,7 +11,8 @@ three ingredients:
   the commutator norms of all term pairs,
 * depths never exceed 2*(n-2) on a connected graph.
 
-``bound_report`` evaluates everything at once; the individual formulas are
+``plan`` works out each term's depth and walk, K and m once, and
+``bound_report`` evaluates everything from it; the individual formulas are
 also exposed (CNOT/two-qubit times, n-body chain words, the exact 3-spin
 minimum, block concatenation, and the reduced-control star graph).
 """
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .depth import depth_of_support, depth_upper_bound
+from .depth import DepthResult, depth_of_support, depth_upper_bound
 from .errors import DomainError, ParseError
 from .network import QubitNetwork, geodesic_distance, min_coupling, read_json, require_full_local
 from .pauli import PauliString, parse_pauli, symplectic_bits
@@ -234,51 +235,58 @@ class BoundReport:
         return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
 
 
-def term_depths(
-    spec: GeneratorSpec, net: QubitNetwork, exact: bool
-) -> tuple[int, ...]:
-    """Commutator depth per term: 0 for weight-1 words (free local
-    rotations), the exact Steiner-tree depth when exact, else the 2*(n-2)
-    fallback."""
-    fallback = depth_upper_bound(net.n)
-    return tuple(0 if word.weight < 2
-                 else depth_of_support(net, word.support).depth if exact
-                 else fallback for word in spec.words)
+@dataclass(frozen=True)
+class Plan:
+    """One generator on one network, worked out once: per term the depth and
+    its Steiner walk (None at weight 1 and for the 2*(n-2) fallback), J, K, m."""
+
+    spec: GeneratorSpec
+    depths: tuple[int, ...]
+    walks: tuple[DepthResult | None, ...]
+    j_coupling: float
+    commutator_weight: float
+    trotter_steps: int
+
+    @property
+    def run_time_bound(self) -> float:
+        """(|a|_1 + m*pi/2*sum(depths))/J, the ceiling on the schedule's duration."""
+        return (self.spec.norm_1 + self.trotter_steps * math.pi / 2
+                * sum(self.depths)) / self.j_coupling
 
 
-def coarse_time_bound(spec: GeneratorSpec, net: QubitNetwork, epsilon: float) -> float:
-    """Closed-form bound l/J * (|a|_inf + pi*l*(l-1)*(n-2)*|a|_inf^2 / (2*sqrt(2)*eps))."""
-    J, l, ai, n = min_coupling(net), spec.l, spec.norm_inf, net.n
-    # float ** raises OverflowError where * gives inf
-    return l / J * (ai + math.pi * l * (l - 1) * max(0, n - 2) * (ai * ai)
-                    / (2 * math.sqrt(2) * epsilon))
-
-
-def bound_report(
-    spec: GeneratorSpec,
-    net: QubitNetwork,
-    epsilon: float,
-    use_exact_depths: bool = False,
-) -> BoundReport:
-    """Evaluate every time bound for ``spec`` on ``net`` at error ``epsilon``."""
+def plan(spec: GeneratorSpec, net: QubitNetwork, epsilon: float,
+         exact_depths: bool = True) -> Plan:
+    """K and m first, then one Steiner search per word of weight >= 2 when
+    ``exact_depths``, else the 2*(n-2) fallback depth and no search."""
     require_full_local(net)
     if spec.n != net.n:
-        raise DomainError(
-            f"generator on {spec.n} qubits does not match network of {net.n}"
-        )
-    J = min_coupling(net)
-    depths = term_depths(spec, net, exact=use_exact_depths)
-    per_term = tuple(
-        single_term_bound(a, d, J) for (a, _), d in zip(spec.terms, depths)
-    )
+        raise DomainError(f"generator on {spec.n} qubits does not match network of {net.n}")
     K = commutator_weight(spec)
     m = _steps_for(K, epsilon)
+    fallback = depth_upper_bound(net.n)
+    walks = tuple(depth_of_support(net, word.support) if exact_depths and word.weight > 1
+                  else None for word in spec.words)
+    depths = tuple(0 if word.weight < 2 else fallback if walk is None else walk.depth
+                   for word, walk in zip(spec.words, walks))
+    return Plan(spec, depths, walks, min_coupling(net), K, m)
+
+
+def bound_report(spec: GeneratorSpec, net: QubitNetwork, epsilon: float,
+                 use_exact_depths: bool = False) -> BoundReport:
+    """Evaluate every time bound for ``spec`` on ``net`` at error ``epsilon``."""
+    p = plan(spec, net, epsilon, exact_depths=use_exact_depths)
+    J, K, depths = p.j_coupling, p.commutator_weight, p.depths
+    per_term = tuple(single_term_bound(a, d, J) for a, d in zip(spec.coefficients, depths))
     depth_sum = sum(depths)
 
     if spec.l == 1:
         coarse = trotter = schedule = None
     else:
-        coarse = coarse_time_bound(spec, net, epsilon)
+        l, ai = spec.l, spec.norm_inf
+        # l/J * (|a|_inf + pi*l*(l-1)*(n-2)*|a|_inf^2 / (2*sqrt(2)*eps)), the
+        # plan's J; float ** raises OverflowError where * gives inf
+        coarse = l / J * (ai + math.pi * l * (l - 1) * max(0, net.n - 2) * (ai * ai)
+                          / (2 * math.sqrt(2) * epsilon))
         trotter = (spec.norm_1 + math.pi * K * depth_sum
                    / (4 * math.sqrt(2) * epsilon)) / J
         passes = max(1.0, K / (2 * math.sqrt(2) * epsilon))
@@ -290,7 +298,7 @@ def bound_report(
         schedule_bound=schedule,
         per_term_bounds=per_term,
         commutator_weight=K,
-        trotter_steps=m,
+        trotter_steps=p.trotter_steps,
         epsilon=epsilon,
         depths=depths,
         exact_depths=use_exact_depths,
@@ -298,20 +306,15 @@ def bound_report(
     )
 
 
-def run_time_bound(
-    spec: GeneratorSpec,
-    net: QubitNetwork,
-    epsilon: float,
-    use_exact_depths: bool = False,
-) -> float:
+def run_time_bound(spec: GeneratorSpec, net: QubitNetwork, epsilon: float,
+                   use_exact_depths: bool = False) -> float:
     """Guaranteed duration ceiling for the schedule synth_generator emits.
 
     Uses the integer repetition count the scheduler runs, so it holds for
     every emitted schedule unconditionally (single-term generators included,
     where it reduces to the per-term bound).
     """
-    r = bound_report(spec, net, epsilon, use_exact_depths)
-    return (spec.norm_1 + r.trotter_steps * math.pi / 2 * sum(r.depths)) / r.j_coupling
+    return plan(spec, net, epsilon, exact_depths=use_exact_depths).run_time_bound
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ package documentation).
 from __future__ import annotations
 
 import argparse
+import errno
 import io
 import math
 import os
@@ -50,6 +51,15 @@ def _write_output(text: str, path: str | None) -> None:
     else:
         with open(path, "w") as fh:
             fh.write(text)
+
+
+def _check_output_path(path: str | None) -> None:
+    """Raise the error open(path, "w") would for a directory or a missing
+    parent directory, before any work is done and without touching the file."""
+    if path not in (None, "-") and os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if path not in (None, "-") and not os.path.isdir(os.path.dirname(path) or "."):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
 
 
 def _write_json(payload, path: str | None) -> None:
@@ -113,12 +123,11 @@ def cmd_synth(args) -> int:
 
 def cmd_verify(args) -> int:
     net, spec = _load_inputs(args)
-    if args.schedule is not None:
-        schedule = synth.load_schedule(args.schedule)
-        m = bnd.min_trotter_steps(spec, args.epsilon)
-    else:
-        schedule, m = synth.synth_generator(net, spec, args.epsilon)
-    bound = bnd.run_time_bound(spec, net, args.epsilon, use_exact_depths=True)
+    schedule = None if args.schedule is None else synth.load_schedule(args.schedule)
+    plan = bnd.plan(spec, net, args.epsilon)
+    if schedule is None:
+        schedule = synth.plan_schedule(net, plan)
+    m, bound = plan.trotter_steps, plan.run_time_bound
     duration = schedule.total_duration
     if not (math.isfinite(bound) and math.isfinite(duration)):
         raise DomainError("result is not finite; inputs too large")
@@ -305,6 +314,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     code = EXIT_OK
     try:
+        for path in (args.output, getattr(args, "pulses", None)):
+            _check_output_path(path)
         code = args.func(args)
         sys.stdout.flush()
         return code

@@ -22,7 +22,8 @@ import math
 from dataclasses import dataclass
 from itertools import chain
 
-from .bounds import GeneratorSpec, min_trotter_steps
+from . import bounds
+from .bounds import GeneratorSpec, Plan
 from .depth import DepthResult, GROW, depth as witness_depth
 from .errors import DomainError, ParseError
 from .network import AXES, QubitNetwork, dump_json, read_json, require_full_local
@@ -288,36 +289,38 @@ def synth_pauli_term(net: QubitNetwork, a: float, word: PauliString) -> Schedule
     """
     require_full_local(net)
     if word.n != net.n:
-        raise DomainError(
-            f"word on {word.n} qubits does not match network of {net.n}"
-        )
+        raise DomainError(f"word on {word.n} qubits does not match network of {net.n}")
     if word.is_identity:
         raise DomainError("identity words have no schedule")
     if word.phase_exp != 0:
         raise DomainError("words must carry phase 0; fold signs into a")
+    walk = witness_depth(net, word) if a != 0.0 and word.weight > 1 else None
+    return _term_schedule(net, a, word, walk)
+
+
+def _term_schedule(net: QubitNetwork, a: float, word: PauliString,
+                   walk: DepthResult | None) -> Schedule:
+    """exp(i*a*P) for a checked word, its ladder built along ``walk``."""
     if a == 0.0:
         return empty_schedule(net.n)
-
     if word.weight == 1:
         qubit = word.support[0]
         axis = _UNIT[word.label(qubit).lower()]
         # exp(i*a*s) = exp(-i*(-a)*s)
         return Schedule(net.n, (LocalRotation(qubit, axis, -a),))
 
-    result = witness_depth(net, word)
-    core_word, conjugators, eta = _build_ladder(net, word, result)
+    core_word, conjugators, eta = _build_ladder(net, word, walk)
 
-    core_edge = result.start_edge
+    core_edge = walk.start_edge
     alpha, beta = _word_edge_labels(core_word, core_edge)
     a_core = a * eta
     core = select_two_body(net, core_edge, alpha, beta,
                            1 if a_core > 0 else -1, abs(a_core))
 
     wraps = []
-    for q in conjugators:
-        edge = q.support  # a two-body word: its two qubits in order
-        la, lb = _word_edge_labels(q, edge)
-        wraps.append(select_two_body(net, edge, la, lb, 1, math.pi / 4).primitives)
+    for q, step in zip(conjugators, walk.witness):
+        la, lb = _word_edge_labels(q, step.edge)  # the step's edge is (min, max)
+        wraps.append(select_two_body(net, step.edge, la, lb, 1, math.pi / 4).primitives)
     # time order: outermost wrap first, then inner wraps, core, and unwinds
     prims = chain(*reversed(wraps), core.primitives, *map(_unwrap, wraps))
     return Schedule(net.n, tuple(prims))
@@ -334,6 +337,15 @@ def _unwrap(wrap: tuple) -> tuple:
     return wrap[:k] + tuple(f_inv) + (evo,) + tuple(f) + wrap[k + 1:]
 
 
+def plan_schedule(net: QubitNetwork, plan: Plan) -> Schedule:
+    """One term-by-term pass with angles a_i/m along the walks of a plan
+    built with exact depths, run m times."""
+    m = plan.trotter_steps
+    one_pass = (_term_schedule(net, a / m, word, walk).primitives
+                for (a, word), walk in zip(plan.spec.terms, plan.walks))
+    return Schedule(net.n, tuple(chain(*one_pass)), repeat=m)
+
+
 def synth_generator(
     net: QubitNetwork, spec: GeneratorSpec, epsilon: float
 ) -> tuple[Schedule, int]:
@@ -343,12 +355,5 @@ def synth_generator(
     the smallest step count whose product-formula error bound fits epsilon.
     Term order is the input order.
     """
-    require_full_local(net)
-    if spec.n != net.n:
-        raise DomainError(
-            f"generator on {spec.n} qubits does not match network of {net.n}"
-        )
-    m = min_trotter_steps(spec, epsilon)
-    one_pass = tuple(prim for a, word in spec.terms
-                     for prim in synth_pauli_term(net, a / m, word).primitives)
-    return Schedule(net.n, one_pass, repeat=m), m
+    p = bounds.plan(spec, net, epsilon)
+    return plan_schedule(net, p), p.trotter_steps

@@ -578,3 +578,58 @@ def test_pair_listed_twice_exits_3(tmp_path, zzz_target, capsys, second):
         {"i": second[0], "j": second[1], "g": g}]}))
     assert main(["bound", str(net), zzz_target, "--epsilon", "0.05"]) == 3
     assert "edge (0, 1) is given twice" in _one_line_error(capsys)
+
+
+def test_verify_and_synth_search_each_term_once(tmp_path, monkeypatch):
+    """One plan per generator: each command runs one Steiner search per word
+    of weight >= 2 and one commutator weight K; bound without exact depths
+    runs no search."""
+    import importlib
+
+    # the package's ``depth`` attribute is the function, not the module
+    bounds, depth = (importlib.import_module(f"gatebound.{name}") for name in ("bounds", "depth"))
+    calls = {"search": 0, "K": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    search = counted("search", depth.depth_of_support)
+    monkeypatch.setattr(depth, "depth_of_support", search)
+    monkeypatch.setattr(bounds, "depth_of_support", search)
+    monkeypatch.setattr(bounds, "commutator_weight", counted("K", bounds.commutator_weight))
+    net, target, schedule = tmp_path / "net.json", tmp_path / "t.json", tmp_path / "s.json"
+    net.write_text(json.dumps({"preset": "ising_chain", "n": 8}))
+    target.write_text(json.dumps([{"coeff": 0.4, "pauli": "XYZZYXXY"},
+                                  {"coeff": -0.3, "pauli": "ZIIIIIIZ"}]))
+    common = [str(net), str(target), "--epsilon", "0.05"]
+    for argv, expected in ((["synth", *common, "-o", str(schedule)], (2, 1)),
+                           (["verify", *common], (2, 1)),
+                           (["verify", *common, "--schedule", str(schedule)], (2, 1)),
+                           (["bound", *common, "--exact-depths"], (2, 1)),
+                           (["bound", *common], (0, 1))):
+        calls.update(search=0, K=0)
+        assert main(argv) == 0
+        assert (calls["search"], calls["K"]) == expected, argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound", "{net}", "{target}", "--epsilon", "0.05", "-o", "{dir}"],
+    ["bound", "{net}", "{target}", "--epsilon", "0.05", "-o", "{dir}/missing/b.json"],
+    ["compare", "--case", "3spin-ising", "--pulses", "{dir}"],
+], ids=["directory", "missing-parent", "pulses"])
+def test_unwritable_output_exits_2_before_any_work(argv, three_path, zzz_target, tmp_path,
+                                                   capsys, monkeypatch):
+    import gatebound.cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("computed a result that cannot be written")
+
+    monkeypatch.setattr(gatebound.cli.bnd, "bound_report", refuse)
+    monkeypatch.setattr(gatebound.cli.grape, "optimize", refuse)
+    paths = {"dir": str(tmp_path), "net": three_path, "target": zzz_target}
+    assert main([a.format(**paths) for a in argv]) == 2
+    assert _one_line_error(capsys).startswith("parse error: ")
+    assert not (tmp_path / "missing").exists()
