@@ -11,10 +11,10 @@ three ingredients:
   the commutator norms of all term pairs,
 * depths never exceed 2*(n-2) on a connected graph.
 
-``plan`` works out each term's depth and walk, K and m once, and
-``bound_report`` evaluates everything from it; the individual formulas are
-also exposed (CNOT/two-qubit times, n-body chain words, the exact 3-spin
-minimum, block concatenation, and the reduced-control star graph).
+``bound_report`` works out each term's depth and walk, K and m once and
+evaluates every bound from them; the individual formulas are also exposed
+(CNOT/two-qubit times, n-body chain words, the exact 3-spin minimum, block
+concatenation, and the reduced-control star graph).
 """
 
 from __future__ import annotations
@@ -216,7 +216,9 @@ class BoundReport:
 
     ``trotter_steps`` is the integer repetition count a scheduler actually
     runs; ``run_time_bound`` evaluates the corresponding guaranteed ceiling
-    on emitted schedule durations.
+    on emitted schedule durations.  ``spec`` and each term's Steiner walk
+    (None at weight 1 and for the 2*(n-2) fallback) are kept for synthesis
+    and are not serialized.
     """
 
     coarse_bound: float | None
@@ -229,23 +231,13 @@ class BoundReport:
     depths: tuple[int, ...]
     exact_depths: bool
     j_coupling: float
+    spec: GeneratorSpec
+    walks: tuple[DepthResult | None, ...]
 
     def to_dict(self) -> dict:
         # shallow: asdict would copy the per-term tuples element by element
-        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
-
-
-@dataclass(frozen=True)
-class Plan:
-    """One generator on one network, worked out once: per term the depth and
-    its Steiner walk (None at weight 1 and for the 2*(n-2) fallback), J, K, m."""
-
-    spec: GeneratorSpec
-    depths: tuple[int, ...]
-    walks: tuple[DepthResult | None, ...]
-    j_coupling: float
-    commutator_weight: float
-    trotter_steps: int
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)
+                if f.name not in ("spec", "walks")}
 
     @property
     def run_time_bound(self) -> float:
@@ -254,28 +246,22 @@ class Plan:
                 * sum(self.depths)) / self.j_coupling
 
 
-def plan(spec: GeneratorSpec, net: QubitNetwork, epsilon: float,
-         exact_depths: bool = True) -> Plan:
-    """K and m first, then one Steiner search per word of weight >= 2 when
-    ``exact_depths``, else the 2*(n-2) fallback depth and no search."""
+def bound_report(spec: GeneratorSpec, net: QubitNetwork, epsilon: float,
+                 use_exact_depths: bool = False) -> BoundReport:
+    """Every time bound for ``spec`` on ``net`` at error ``epsilon``: K and m
+    first, then one Steiner search per word of weight >= 2 when
+    ``use_exact_depths``, else the 2*(n-2) fallback depth and no search."""
     require_full_local(net)
     if spec.n != net.n:
         raise DomainError(f"generator on {spec.n} qubits does not match network of {net.n}")
     K = commutator_weight(spec)
     m = _steps_for(K, epsilon)
     fallback = depth_upper_bound(net.n)
-    walks = tuple(depth_of_support(net, word.support) if exact_depths and word.weight > 1
+    walks = tuple(depth_of_support(net, word.support) if use_exact_depths and word.weight > 1
                   else None for word in spec.words)
     depths = tuple(0 if word.weight < 2 else fallback if walk is None else walk.depth
                    for word, walk in zip(spec.words, walks))
-    return Plan(spec, depths, walks, min_coupling(net), K, m)
-
-
-def bound_report(spec: GeneratorSpec, net: QubitNetwork, epsilon: float,
-                 use_exact_depths: bool = False) -> BoundReport:
-    """Evaluate every time bound for ``spec`` on ``net`` at error ``epsilon``."""
-    p = plan(spec, net, epsilon, exact_depths=use_exact_depths)
-    J, K, depths = p.j_coupling, p.commutator_weight, p.depths
+    J = min_coupling(net)
     per_term = tuple(single_term_bound(a, d, J) for a, d in zip(spec.coefficients, depths))
     depth_sum = sum(depths)
 
@@ -283,8 +269,8 @@ def bound_report(spec: GeneratorSpec, net: QubitNetwork, epsilon: float,
         coarse = trotter = schedule = None
     else:
         l, ai = spec.l, spec.norm_inf
-        # l/J * (|a|_inf + pi*l*(l-1)*(n-2)*|a|_inf^2 / (2*sqrt(2)*eps)), the
-        # plan's J; float ** raises OverflowError where * gives inf
+        # l/J * (|a|_inf + pi*l*(l-1)*(n-2)*|a|_inf^2 / (2*sqrt(2)*eps));
+        # float ** raises OverflowError where * gives inf
         coarse = l / J * (ai + math.pi * l * (l - 1) * max(0, net.n - 2) * (ai * ai)
                           / (2 * math.sqrt(2) * epsilon))
         trotter = (spec.norm_1 + math.pi * K * depth_sum
@@ -292,18 +278,8 @@ def bound_report(spec: GeneratorSpec, net: QubitNetwork, epsilon: float,
         passes = max(1.0, K / (2 * math.sqrt(2) * epsilon))
         schedule = (spec.norm_1 + passes * math.pi / 2 * depth_sum) / J
 
-    return BoundReport(
-        coarse_bound=coarse,
-        trotter_bound=trotter,
-        schedule_bound=schedule,
-        per_term_bounds=per_term,
-        commutator_weight=K,
-        trotter_steps=p.trotter_steps,
-        epsilon=epsilon,
-        depths=depths,
-        exact_depths=use_exact_depths,
-        j_coupling=J,
-    )
+    return BoundReport(coarse, trotter, schedule, per_term, K, m, epsilon, depths,
+                       use_exact_depths, J, spec, walks)
 
 
 def run_time_bound(spec: GeneratorSpec, net: QubitNetwork, epsilon: float,
@@ -314,7 +290,7 @@ def run_time_bound(spec: GeneratorSpec, net: QubitNetwork, epsilon: float,
     every emitted schedule unconditionally (single-term generators included,
     where it reduces to the per-term bound).
     """
-    return plan(spec, net, epsilon, exact_depths=use_exact_depths).run_time_bound
+    return bound_report(spec, net, epsilon, use_exact_depths).run_time_bound
 
 
 # ---------------------------------------------------------------------------

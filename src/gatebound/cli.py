@@ -124,10 +124,10 @@ def cmd_synth(args) -> int:
 def cmd_verify(args) -> int:
     net, spec = _load_inputs(args)
     schedule = None if args.schedule is None else synth.load_schedule(args.schedule)
-    plan = bnd.plan(spec, net, args.epsilon)
+    report = bnd.bound_report(spec, net, args.epsilon, use_exact_depths=True)
     if schedule is None:
-        schedule = synth.plan_schedule(net, plan)
-    m, bound = plan.trotter_steps, plan.run_time_bound
+        schedule = synth.report_schedule(net, report)
+    m, bound = report.trotter_steps, report.run_time_bound
     duration = schedule.total_duration
     if not (math.isfinite(bound) and math.isfinite(duration)):
         raise DomainError("result is not finite; inputs too large")

@@ -230,7 +230,7 @@ def network_from_dict(data: dict) -> QubitNetwork:
         if kind not in _PRESETS:
             raise ParseError(f"unknown preset {kind!r}")
         try:
-            n = int(data["n"])
+            n = json_int(data["n"])
         except (KeyError, TypeError, ValueError):
             raise ParseError("preset form needs an integer 'n'") from None
         try:
@@ -239,14 +239,14 @@ def network_from_dict(data: dict) -> QubitNetwork:
             raise ParseError(f"preset 'J' must be a number, got {data['J']!r}") from None
         return _PRESETS[kind](n, J)
     try:
-        n = int(data["n"])
+        n = json_int(data["n"])
         raw_edges = data["edges"]
     except (KeyError, TypeError, ValueError):
-        raise ParseError("network JSON needs 'n' and 'edges'") from None
+        raise ParseError("network JSON needs an integer 'n' and 'edges'") from None
     edges = {}
     for entry in raw_edges:
         try:
-            edge = (int(entry["i"]), int(entry["j"]))
+            edge = (json_int(entry["i"]), json_int(entry["j"]))
             g = np.asarray(entry["g"], dtype=float)
         except (KeyError, TypeError, ValueError):
             raise ParseError(f"malformed edge entry {entry!r}") from None
@@ -268,6 +268,13 @@ def network_to_dict(net: QubitNetwork) -> dict:
         ],
         "omega": net.omega.tolist(),
     }
+
+
+def json_int(value) -> int:
+    """A JSON integer as it is; a float, string or bool is a ``ValueError``."""
+    if type(value) is not int:
+        raise ValueError(f"{value!r} is not an integer")
+    return value
 
 
 def _finite_float(text: str) -> float:

@@ -19,14 +19,15 @@ from the first-order product-formula error bound.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import chain
 
 from . import bounds
-from .bounds import GeneratorSpec, Plan
+from .bounds import BoundReport, GeneratorSpec
 from .depth import DepthResult, GROW, depth as witness_depth
 from .errors import DomainError, ParseError
-from .network import AXES, QubitNetwork, dump_json, read_json, require_full_local
+from .network import AXES, QubitNetwork, dump_json, json_int, read_json, require_full_local
 from .network import strongest_couplings
 from .pauli import PauliString, commutator, multiply, two_body
 
@@ -92,9 +93,11 @@ class Schedule:
     repeat: int = 1
 
     def __post_init__(self):
-        # bool is an int subclass, but True is not a repetition count
-        if type(self.repeat) is not int or self.repeat < 1:
-            raise DomainError(f"repeat must be an integer >= 1, got {self.repeat!r}")
+        # bool is an int subclass, but True is not a repetition count; past
+        # the largest float, total_duration could not be formed
+        if type(self.repeat) is not int or not 1 <= self.repeat <= sys.float_info.max:
+            raise DomainError(f"repeat must be an integer from 1 to the largest float, "
+                              f"got {self.repeat!r}")
 
     @property
     def total_duration(self) -> float:
@@ -128,24 +131,24 @@ def schedule_to_dict(s: Schedule) -> dict:
 def schedule_from_dict(data: dict) -> Schedule:
     """Schedule from its JSON form; a missing ``"repeat"`` means one run."""
     try:
-        n = int(data["n"])
+        n = json_int(data["n"])
         raw = data["primitives"]
         repeat = data.get("repeat", 1)
     except (AttributeError, KeyError, TypeError, ValueError):
-        raise ParseError("schedule JSON needs 'n' and 'primitives'") from None
+        raise ParseError("schedule JSON needs an integer 'n' and 'primitives'") from None
     prims = []
     for entry in raw:
         try:
             kind = entry["kind"]
             if kind == "local":
                 prims.append(LocalRotation(
-                    qubit=int(entry["qubit"]),
+                    qubit=json_int(entry["qubit"]),
                     axis=tuple(float(v) for v in entry["axis"]),
                     angle=float(entry["angle"]),
                 ))
             elif kind == "two_body":
                 prims.append(TwoBodyEvolution(
-                    edge=(int(entry["edge"][0]), int(entry["edge"][1])),
+                    edge=(json_int(entry["edge"][0]), json_int(entry["edge"][1])),
                     alpha=entry["alpha"], beta=entry["beta"],
                     sign=1 if entry["sign"] == "+" else -1,
                     angle=float(entry["angle"]),
@@ -294,6 +297,8 @@ def synth_pauli_term(net: QubitNetwork, a: float, word: PauliString) -> Schedule
         raise DomainError("identity words have no schedule")
     if word.phase_exp != 0:
         raise DomainError("words must carry phase 0; fold signs into a")
+    if not math.isfinite(a):
+        raise DomainError(f"coefficient {a} of {word} is not finite")
     walk = witness_depth(net, word) if a != 0.0 and word.weight > 1 else None
     return _term_schedule(net, a, word, walk)
 
@@ -337,12 +342,12 @@ def _unwrap(wrap: tuple) -> tuple:
     return wrap[:k] + tuple(f_inv) + (evo,) + tuple(f) + wrap[k + 1:]
 
 
-def plan_schedule(net: QubitNetwork, plan: Plan) -> Schedule:
-    """One term-by-term pass with angles a_i/m along the walks of a plan
+def report_schedule(net: QubitNetwork, report: BoundReport) -> Schedule:
+    """One term-by-term pass with angles a_i/m along the walks of a report
     built with exact depths, run m times."""
-    m = plan.trotter_steps
+    m = report.trotter_steps
     one_pass = (_term_schedule(net, a / m, word, walk).primitives
-                for (a, word), walk in zip(plan.spec.terms, plan.walks))
+                for (a, word), walk in zip(report.spec.terms, report.walks))
     return Schedule(net.n, tuple(chain(*one_pass)), repeat=m)
 
 
@@ -355,5 +360,5 @@ def synth_generator(
     the smallest step count whose product-formula error bound fits epsilon.
     Term order is the input order.
     """
-    p = bounds.plan(spec, net, epsilon)
-    return plan_schedule(net, p), p.trotter_steps
+    report = bounds.bound_report(spec, net, epsilon, use_exact_depths=True)
+    return report_schedule(net, report), report.trotter_steps

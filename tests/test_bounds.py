@@ -232,6 +232,29 @@ class TestBoundReport:
             "epsilon", "depths", "exact_depths", "j_coupling",
         }
 
+    def test_report_carries_its_walks_outside_the_dict(self):
+        keys = ["coarse_bound", "trotter_bound", "schedule_bound", "per_term_bounds",
+                "commutator_weight", "trotter_steps", "epsilon", "depths", "exact_depths",
+                "j_coupling"]
+        rng = np.random.default_rng(14)
+        cases = [(uniform_chain(3), spec_of((0.5, "ZIZ"), (0.5, "IXI")))]
+        for _ in range(30):
+            n = int(rng.integers(2, 6))
+            net = random_connected_network(rng, n, extra_edges=int(rng.integers(0, 3)))
+            cases.append((net, random_spec(rng, n, int(rng.integers(1, 5)))))
+        for net, s in cases:
+            for exact in (False, True):
+                rep = bound_report(s, net, 0.05, use_exact_depths=exact)
+                assert list(rep.to_dict()) == keys
+                json.dumps(rep.to_dict())
+                assert rep.spec == s
+                for word, walk, d in zip(s.words, rep.walks, rep.depths):
+                    if exact and word.weight > 1:
+                        assert walk.depth == d
+                    else:  # weight 1, or the 2*(n-2) fallback
+                        assert walk is None
+                assert rep.run_time_bound == run_time_bound(s, net, 0.05, exact)
+
     def test_epsilon_validation(self):
         net = uniform_chain(3)
         with pytest.raises(DomainError):

@@ -458,6 +458,58 @@ def test_bad_repeat_is_a_parse_error(three_path, zzz_target, tmp_path, capsys, r
     _one_line_error(capsys)
 
 
+def test_repeat_past_the_largest_float_is_a_parse_error(three_path, zzz_target, tmp_path,
+                                                        capsys):
+    # the duration is the repeat times a float, which 10**400 would overflow
+    out = tmp_path / "schedule.json"
+    assert main(["synth", three_path, zzz_target, "--epsilon", "0.05", "-o", str(out)]) == 0
+    data = json.loads(out.read_text())
+    data["repeat"] = 10**400
+    out.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", three_path, zzz_target, "--epsilon", "0.05",
+                 "--schedule", str(out)]) == 2
+    assert "repeat" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("net", [
+    {"n": 3, "edges": [{"i": 0.9, "j": 1, "g": THREE_PATH["edges"][0]["g"]},
+                       THREE_PATH["edges"][1]]},
+    {"n": 3, "edges": [{"i": True, "j": 2, "g": THREE_PATH["edges"][1]["g"]},
+                       THREE_PATH["edges"][0]]},
+    {"n": "3", "edges": THREE_PATH["edges"]},
+    {"preset": "ising_chain", "n": 3.9},
+], ids=["float-edge-index", "bool-edge-index", "string-n", "float-preset-n"])
+def test_non_integer_network_field_is_a_parse_error(net, zzz_target, tmp_path, capsys):
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(net))
+    assert main(["bound", str(path), zzz_target, "--epsilon", "0.05"]) == 2
+    assert _one_line_error(capsys).startswith("parse error: ")
+
+
+@pytest.mark.parametrize("field", ["n", "qubit", "edge"])
+def test_non_integer_schedule_field_is_a_parse_error(field, three_path, zzz_target, tmp_path,
+                                                     capsys):
+    # a truncated float once verified as the integer below it
+    out = tmp_path / "schedule.json"
+    assert main(["synth", three_path, zzz_target, "--epsilon", "0.05", "-o", str(out)]) == 0
+    data = json.loads(out.read_text())
+    if field == "n":
+        data["n"] += 0.5
+    else:
+        kind = "local" if field == "qubit" else "two_body"
+        entry = next(p for p in data["primitives"] if p["kind"] == kind)
+        if field == "qubit":
+            entry["qubit"] += 0.4
+        else:
+            entry["edge"][0] = float(entry["edge"][0])
+    out.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", three_path, zzz_target, "--epsilon", "0.05",
+                 "--schedule", str(out)]) == 2
+    assert _one_line_error(capsys).startswith("parse error: ")
+
+
 @pytest.mark.parametrize("literal", ["1" * 5000, "NaN", "-Infinity", "1e999"],
                          ids=["5000-digits", "nan", "-inf", "1e999"])
 @pytest.mark.parametrize("kind", ["net", "target", "schedule"])

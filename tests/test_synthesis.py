@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -306,6 +307,11 @@ class TestSynthPauliTerm:
         with pytest.raises(DomainError):
             synth_pauli_term(star(4), 1.0, parse_pauli("ZZZZ"))
 
+    @pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coefficient_is_refused(self, a):
+        with pytest.raises(DomainError, match="not finite"):
+            synth_pauli_term(uniform_chain(3), a, parse_pauli("ZZZ"))
+
 
 class TestSynthGenerator:
     def test_single_term_reduces_to_term_synthesis(self):
@@ -410,6 +416,13 @@ class TestRepeatForm:
         for bad in (0, -1, 2.5, True, "3"):
             with pytest.raises(DomainError):
                 Schedule(2, (), repeat=bad)
+
+    def test_repeat_reaches_the_largest_float_and_no_further(self):
+        top = int(sys.float_info.max)
+        rotation = LocalRotation(0, (1.0, 0.0, 0.0), 0.1)
+        assert Schedule(2, (rotation,), repeat=top).total_duration == 0.0
+        with pytest.raises(DomainError):
+            Schedule(2, (rotation,), repeat=top + 1)
 
 
 def _mp_unitary(primitives, n, repeat):
