@@ -27,7 +27,8 @@ import numpy as np
 
 from .depth import DepthResult, depth_of_support, depth_upper_bound
 from .errors import DomainError, ParseError
-from .network import QubitNetwork, geodesic_distance, min_coupling, read_json, require_full_local
+from .network import (QubitNetwork, geodesic_distance, json_number, min_coupling, read_json,
+                      require_full_local)
 from .pauli import PauliString, parse_pauli, symplectic_bits
 
 _PAIR_BLOCK = 8192  # pair entries per block of commutator_weight
@@ -94,8 +95,7 @@ def spec_from_list(data) -> GeneratorSpec:
     terms = []
     for entry in data:
         try:
-            coeff = float(entry["coeff"])
-            word = entry["pauli"]
+            coeff, word = json_number(entry["coeff"]), entry["pauli"]
         except (KeyError, TypeError, ValueError):
             raise ParseError(f"malformed term {entry!r}") from None
         terms.append((coeff, parse_pauli(word)))
@@ -275,8 +275,7 @@ def bound_report(spec: GeneratorSpec, net: QubitNetwork, epsilon: float,
                           / (2 * math.sqrt(2) * epsilon))
         trotter = (spec.norm_1 + math.pi * K * depth_sum
                    / (4 * math.sqrt(2) * epsilon)) / J
-        passes = max(1.0, K / (2 * math.sqrt(2) * epsilon))
-        schedule = (spec.norm_1 + passes * math.pi / 2 * depth_sum) / J
+        schedule = max(trotter, (spec.norm_1 + math.pi / 2 * depth_sum) / J)
 
     return BoundReport(coarse, trotter, schedule, per_term, K, m, epsilon, depths,
                        use_exact_depths, J, spec, walks)

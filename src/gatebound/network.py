@@ -20,6 +20,7 @@ import json
 from collections import deque
 from dataclasses import dataclass, field
 from math import isfinite, pi
+from sys import float_info
 
 import numpy as np
 
@@ -230,30 +231,26 @@ def network_from_dict(data: dict) -> QubitNetwork:
         if kind not in _PRESETS:
             raise ParseError(f"unknown preset {kind!r}")
         try:
-            n = json_int(data["n"])
-        except (KeyError, TypeError, ValueError):
-            raise ParseError("preset form needs an integer 'n'") from None
-        try:
-            J = float(data.get("J", 1.0))
-        except (TypeError, ValueError):
-            raise ParseError(f"preset 'J' must be a number, got {data['J']!r}") from None
+            n, J = json_int(data["n"]), json_number(data.get("J", 1.0))
+        except (KeyError, ValueError):
+            raise ParseError("preset form needs an integer 'n' and a number 'J'") from None
         return _PRESETS[kind](n, J)
     try:
         n = json_int(data["n"])
         raw_edges = data["edges"]
+        omega = None if data.get("omega") is None else _json_floats(data["omega"])
     except (KeyError, TypeError, ValueError):
-        raise ParseError("network JSON needs an integer 'n' and 'edges'") from None
+        raise ParseError("network JSON needs integer 'n', 'edges', numeric 'omega'") from None
     edges = {}
     for entry in raw_edges:
         try:
             edge = (json_int(entry["i"]), json_int(entry["j"]))
-            g = np.asarray(entry["g"], dtype=float)
+            g = _json_floats(entry["g"])
         except (KeyError, TypeError, ValueError):
             raise ParseError(f"malformed edge entry {entry!r}") from None
         if edge in edges:
             raise DomainError(f"edge {canonical_edge(*edge)} is given twice")
         edges[edge] = g
-    omega = data.get("omega")
     model = data.get("control_model", "full_local")
     return QubitNetwork(n=n, edges=edges, omega=omega, control_model=model)
 
@@ -275,6 +272,20 @@ def json_int(value) -> int:
     if type(value) is not int:
         raise ValueError(f"{value!r} is not an integer")
     return value
+
+
+def json_number(value) -> float:
+    """A JSON number as a float; a bool, a string or an out-of-range int is a ``ValueError``."""
+    if type(value) not in (int, float) or abs(value) > float_info.max:
+        raise ValueError(f"{value!r} is not a number in the float range")
+    return float(value)
+
+
+def _json_floats(value) -> np.ndarray:
+    """Nested lists of JSON numbers as a float array, else a ``ValueError``."""
+    leaves = np.asarray(value, dtype=object)
+    return np.array([v if type(v) is float else json_number(v) for v in leaves.flat],
+                    dtype=float).reshape(leaves.shape)  # JSON floats are finite as read
 
 
 def _finite_float(text: str) -> float:

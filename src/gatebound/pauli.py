@@ -3,8 +3,8 @@
 A word is stored as two n-bit masks (bit i set means an X / Z factor on
 qubit i, both set means Y) together with an integer power of the imaginary
 unit multiplying the bare word.  Products, commutation checks and
-commutators are computed exactly in integer arithmetic; the dense matrix
-form exists as a verification oracle only.
+commutators are computed exactly in integer arithmetic; the dense form
+builds the simulator's targets and drifts and the pulse controls.
 
 Text form: one uppercase character of ``IXYZ`` per qubit, qubit 0 leftmost.
 """
@@ -21,13 +21,7 @@ from .errors import DimensionError, DomainError, ParseError, ResourceLimitError
 
 MAX_DENSE_QUBITS = 12
 
-_MAT_I = np.eye(2, dtype=complex)
-_MAT_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_MAT_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_MAT_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-
 # indexed by (x_bit, z_bit)
-_SINGLE = {(0, 0): _MAT_I, (1, 0): _MAT_X, (1, 1): _MAT_Y, (0, 1): _MAT_Z}
 _CHAR = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
 _BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 # a word read right to left is its x and z masks written in binary
@@ -212,13 +206,18 @@ def hs_norm_commutator(p: PauliString, q: PauliString) -> float:
 
 
 def to_matrix(p: PauliString) -> np.ndarray:
-    """Dense 2**n x 2**n matrix, qubit 0 the leftmost Kronecker factor."""
+    """Dense 2**n x 2**n matrix; with the masks as index bits, qubit 0 the most
+    significant, column r holds i**(phase + #Y) * (-1)**popcount(r & z) at row r ^ x."""
     if p.n > MAX_DENSE_QUBITS:
         raise ResourceLimitError(
             f"dense form of {p.n} qubits exceeds the cap of {MAX_DENSE_QUBITS}"
         )
-    out = np.ones((1, 1), dtype=complex)
-    for qubit in range(p.n):
-        bits = (p.x_bits >> qubit & 1, p.z_bits >> qubit & 1)
-        out = np.kron(out, _SINGLE[bits])
-    return (1j ** p.phase_exp) * out
+    x, z = (int(f"{m:0{p.n}b}"[::-1], 2) for m in (p.x_bits, p.z_bits))
+    cols = np.arange(2 ** p.n)
+    odd = cols & z
+    for k in range(p.n.bit_length()):  # fold the parity of n bits onto bit 0
+        odd ^= odd >> (1 << k)
+    out = np.zeros((len(cols), len(cols)), dtype=complex)
+    phase = (1, 1j, -1, -1j)[(p.phase_exp + (p.x_bits & p.z_bits).bit_count()) % 4]
+    out[cols ^ x, cols] = phase * (1 - 2 * (odd & 1))
+    return out

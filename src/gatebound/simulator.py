@@ -3,9 +3,9 @@
 Schedules are simulated qubit-locally, in work arrays allocated once per
 call: each primitive acts on U through its own one or two qubit axes, never
 as a 2**n x 2**n matrix, and a Pauli pair as axis flips and phases.  A
-one-term target is cos(a)*I + i*sin(a)*P with P written from the word's bit
-masks; several terms and the drift are dense Pauli sums, and a sum's
-exponential comes from an eigendecomposition.  No series is truncated.
+one-term target is cos(a)*I + i*sin(a)*P; several terms and the drift are
+one dense Pauli sum, guarded against overflow, whose exponential comes from
+an eigendecomposition.  No series is truncated.
 """
 
 from __future__ import annotations
@@ -40,23 +40,24 @@ def target_unitary(spec) -> np.ndarray:
     """exp(i * sum_i a_i P_i): cos(a)*I + i*sin(a)*P for one term (P**2 = I),
     else through an eigendecomposition of the Hermitian sum."""
     _check_cap(spec.n)
-    dim = 2 ** spec.n
     if spec.l == 1:
         ((a, p),) = spec.terms
-        # P|r> = i**#Y * (-1)**popcount(r & z) |r ^ x>, masks as index bits
-        signs = np.ones(1)
-        for q in range(spec.n):  # qubit 0 is the most significant index bit
-            signs = np.kron(signs, (1, -1) if p.z_bits >> q & 1 else (1, 1))
-        cols = np.arange(dim)
-        U = np.zeros((dim, dim), dtype=complex)
-        U[cols ^ int(f"{p.x_bits:0{spec.n}b}"[::-1], 2), cols] = (1j * math.sin(a)) * (
-            1j ** ((p.x_bits & p.z_bits).bit_count() % 4) * signs)
-        U[cols, cols] += math.cos(a)
+        U = (1j * math.sin(a)) * to_matrix(p)
+        U.flat[::2 ** spec.n + 1] += math.cos(a)
         return U
-    H = np.zeros((dim, dim), dtype=complex)
-    for a, p in spec.terms:
-        H += a * to_matrix(p)
-    return expi_hermitian(H)
+    return expi_hermitian(_pauli_sum(spec.n, spec.terms,
+                                     "target generator overflows: coefficients too large"))
+
+
+def _pauli_sum(n: int, terms, overflow: str) -> np.ndarray:
+    """Dense sum of a*P over the (a, P) terms, in order; inf or NaN is DomainError(overflow)."""
+    H = np.zeros((2 ** n, 2 ** n), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a, p in terms:
+            H += a * to_matrix(p)
+    if not np.isfinite(H).all():
+        raise DomainError(overflow)
+    return H
 
 
 def expi_hermitian(H: np.ndarray) -> np.ndarray:
@@ -133,22 +134,11 @@ def unitary_of_schedule(net: QubitNetwork, schedule) -> np.ndarray:
 def drift_matrix(net: QubitNetwork) -> np.ndarray:
     """Always-on Hamiltonian: splittings plus all edge coupling terms."""
     _check_cap(net.n)
-    dim = 2 ** net.n
-    H = np.zeros((dim, dim), dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for q in range(net.n):
-            for a, name in enumerate(AXES):
-                w = net.omega[q, a]
-                if w != 0.0:
-                    H += w * to_matrix(single(net.n, q, name))
-        for (i, j), g in net.edges.items():
-            for a, aname in enumerate(AXES):
-                for b, bname in enumerate(AXES):
-                    if g[a, b] != 0.0:
-                        H += g[a, b] * to_matrix(two_body(net.n, i, aname, j, bname))
-    if not np.isfinite(H).all():
-        raise DomainError("drift Hamiltonian overflows: splittings or couplings too large")
-    return H
+    terms = [(w, single(net.n, q, AXES[a])) for (q, a), w in np.ndenumerate(net.omega) if w]
+    terms += [(w, two_body(net.n, i, AXES[a], j, AXES[b])) for (i, j), g in net.edges.items()
+              for (a, b), w in np.ndenumerate(g) if w]
+    return _pauli_sum(net.n, terms,
+                      "drift Hamiltonian overflows: splittings or couplings too large")
 
 
 def normalized_error(U: np.ndarray, V: np.ndarray) -> float:

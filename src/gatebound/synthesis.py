@@ -27,8 +27,8 @@ from . import bounds
 from .bounds import BoundReport, GeneratorSpec
 from .depth import DepthResult, GROW, depth as witness_depth
 from .errors import DomainError, ParseError
-from .network import AXES, QubitNetwork, dump_json, json_int, read_json, require_full_local
-from .network import strongest_couplings
+from .network import (AXES, QubitNetwork, dump_json, json_int, json_number, read_json,
+                      require_full_local, strongest_couplings)
 from .pauli import PauliString, commutator, multiply, two_body
 
 _UNIT = {"x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0), "z": (0.0, 0.0, 1.0)}
@@ -143,16 +143,16 @@ def schedule_from_dict(data: dict) -> Schedule:
             if kind == "local":
                 prims.append(LocalRotation(
                     qubit=json_int(entry["qubit"]),
-                    axis=tuple(float(v) for v in entry["axis"]),
-                    angle=float(entry["angle"]),
+                    axis=tuple(json_number(v) for v in entry["axis"]),
+                    angle=json_number(entry["angle"]),
                 ))
             elif kind == "two_body":
                 prims.append(TwoBodyEvolution(
                     edge=(json_int(entry["edge"][0]), json_int(entry["edge"][1])),
                     alpha=entry["alpha"], beta=entry["beta"],
                     sign=1 if entry["sign"] == "+" else -1,
-                    angle=float(entry["angle"]),
-                    g_used=float(entry["g_used"]),
+                    angle=json_number(entry["angle"]),
+                    g_used=json_number(entry["g_used"]),
                 ))
             else:
                 raise ParseError(f"unknown primitive kind {kind!r}")

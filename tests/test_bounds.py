@@ -12,6 +12,7 @@ import pytest
 from gatebound import (
     GeneratorSpec,
     PauliString,
+    QubitNetwork,
     bound_report,
     cnot_bound,
     commutator_weight,
@@ -213,6 +214,23 @@ class TestBoundReport:
             assert rep.trotter_bound <= rep.coarse_bound + 1e-12
             if s.l * (s.l - 1) * s.norm_inf**2 >= 2 * math.sqrt(2) * 0.05:
                 assert rep.schedule_bound <= rep.coarse_bound + 1e-12
+
+    def test_schedule_bound_is_never_below_trotter_bound(self):
+        # strictly, with no slack: above one product pass the two bounds are
+        # the same quantity and must not differ in their last bits
+        ring = QubitNetwork(n=6, edges={(i, (i + 1) % 6): np.diag([0.0, 0.0, 1.0])
+                                        for i in range(6)})
+        cases = [(spec_of((0.4, "XIIZII"), (-0.3, "ZZIIIY")), ring)]
+        rng = np.random.default_rng(15)
+        for _ in range(150):
+            n = int(rng.integers(2, 7))
+            net = random_connected_network(rng, n, extra_edges=int(rng.integers(0, 3)))
+            cases.append((random_spec(rng, n, int(rng.integers(2, 5))), net))
+        for s, net in cases:
+            for eps in (0.3, 0.05, 1e-3):
+                for exact in (False, True):
+                    rep = bound_report(s, net, eps, use_exact_depths=exact)
+                    assert rep.trotter_bound <= rep.schedule_bound, (s, eps, exact)
 
     def test_run_time_bound_uses_integer_steps(self):
         net = uniform_chain(3)

@@ -531,6 +531,67 @@ def test_unreadable_number_is_a_parse_error(three_path, zzz_target, tmp_path, ca
     assert "invalid JSON" in _one_line_error(capsys)
 
 
+def _set_first(kind, key, value):
+    """Set ``key`` to ``value`` in the first schedule primitive of ``kind``."""
+    def mutate(data):
+        next(p for p in data["primitives"] if p["kind"] == kind)[key] = value
+    return mutate
+
+
+@pytest.mark.parametrize("kind, mutate", [
+    ("target", lambda t: t[0].update(coeff=True)),
+    ("target", lambda t: t[0].update(coeff="0.5")),
+    ("target", lambda t: t[0].update(coeff=10**400)),
+    ("preset", lambda d: d.update(J="2")),
+    ("preset", lambda d: d.update(J=True)),
+    ("net", lambda d: d["edges"][0]["g"][2].__setitem__(2, "1.5")),
+    ("net", lambda d: d["edges"][0]["g"][2].__setitem__(2, True)),
+    ("net", lambda d: d.update(omega=[["2", 0, 0], [0, 0, 0], [0, 0, 0]])),
+    ("net", lambda d: d.update(omega=[[0, 0], [0, 0, 0], [0, 0, 0]])),
+    ("schedule", _set_first("two_body", "g_used", "1.0")),
+    ("schedule", _set_first("two_body", "angle", str(math.pi / 4))),
+    ("schedule", _set_first("local", "angle", "inf")),
+    ("schedule", _set_first("local", "axis", ["1.0", 0.0, 0.0])),
+], ids=["bool-coeff", "string-coeff", "coeff-past-float", "string-J", "bool-J",
+        "string-g", "bool-g", "string-omega", "ragged-omega", "string-g_used",
+        "string-two-body-angle", "string-inf-angle", "string-axis"])
+def test_non_number_field_is_a_parse_error(three_path, zzz_target, tmp_path, capsys,
+                                           kind, mutate):
+    # a string, a bool or an integer past the largest float is not a JSON
+    # number, though float() or numpy's float conversion took most of them
+    paths = {"net": three_path, "target": zzz_target, "schedule": str(tmp_path / "s.json")}
+    assert main(["synth", three_path, zzz_target, "--epsilon", "0.05",
+                 "-o", paths["schedule"]]) == 0
+    data = {"net": dict(THREE_PATH, omega=[[0.0] * 3] * 3),
+            "preset": {"preset": "ising_chain", "n": 3, "J": 1.0},
+            "target": [{"coeff": math.pi / 4, "pauli": "ZZZ"}],
+            "schedule": json.loads(Path(paths["schedule"]).read_text())}[kind]
+    data = json.loads(json.dumps(data))
+    mutate(data)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    paths["net" if kind == "preset" else kind] = str(bad)
+    capsys.readouterr()
+    assert main(["verify", paths["net"], paths["target"], "--epsilon", "0.05",
+                 "--schedule", paths["schedule"]]) == 2
+    assert _one_line_error(capsys).startswith("parse error: ")
+
+
+@pytest.mark.parametrize("command, flags", [("grape", ["--time", "1.0"]),
+                                            ("scan", ["--times", "0.5,1.0"])])
+def test_overflowing_target_is_one_domain_error_line(tmp_path, capsys, command, flags):
+    # the dense target sum 1e308*ZI + 1e308*IZ overflows before any pulse is tried
+    net, target = tmp_path / "net.json", tmp_path / "target.json"
+    net.write_text(json.dumps({"preset": "ising_chain", "n": 2, "J": 1.0}))
+    target.write_text(json.dumps([{"coeff": 1e308, "pauli": "ZI"},
+                                  {"coeff": 1e308, "pauli": "IZ"}]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main([command, str(net), str(target), *flags, "--slices", "4", "--max-iters", "5"])
+    assert rc == 3
+    assert _one_line_error(capsys).startswith("domain error: target generator overflows")
+
+
 FOUR_TERMS = [{"coeff": 0.6, "pauli": "ZZI"}, {"coeff": -0.4, "pauli": "XZI"},
               {"coeff": 0.3, "pauli": "IYX"}, {"coeff": 0.25, "pauli": "ZXZ"}]
 

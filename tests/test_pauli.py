@@ -163,6 +163,19 @@ def test_to_matrix_unitary_hermitian_up_to_phase():
         assert np.allclose(m @ m.conj().T, np.eye(2 ** n), atol=1e-13)
 
 
+def test_to_matrix_equals_i_to_the_phase_times_the_kronecker_chain_exactly():
+    # the dense form is written from the bit masks; entry for entry it is the
+    # Kronecker chain of the word's factors, qubit 0 leftmost, times i**k
+    rng = np.random.default_rng(4)
+    words = [PauliString(n, x, z) for n in range(1, 5)
+             for x in range(1 << n) for z in range(1 << n)]
+    words += [random_word(rng, n) for n in (8, 10) for _ in range(2)]
+    for w in words:
+        for k in range(4):
+            p = PauliString(w.n, w.x_bits, w.z_bits, k)
+            assert np.array_equal(to_matrix(p), 1j ** k * kron_word(format_pauli(w))), p
+
+
 def test_to_matrix_cap():
     with pytest.raises(ResourceLimitError):
         to_matrix(identity(13))

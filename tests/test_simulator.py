@@ -105,6 +105,15 @@ class TestTargetUnitary:
                 assert np.array_equal(target_unitary(GeneratorSpec(((a, w),))), expected), w
 
 
+    def test_overflowing_sum_is_a_domain_error_without_warning(self):
+        # 1e308 + 1e308 on the |00> diagonal entry is inf
+        spec = GeneratorSpec(((1e308, parse_pauli("ZI")), (1e308, parse_pauli("IZ"))))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="overflows"):
+                target_unitary(spec)
+
+
 class TestScheduleUnitary:
     def test_empty_schedule_is_identity(self):
         net = uniform_chain(2)
