@@ -102,10 +102,6 @@ def spec_from_list(data) -> GeneratorSpec:
     return GeneratorSpec(tuple(terms))
 
 
-def spec_to_list(spec: GeneratorSpec) -> list:
-    return [{"coeff": a, "pauli": str(p)} for a, p in spec.terms]
-
-
 def load_spec(path) -> GeneratorSpec:
     return spec_from_list(read_json(path))
 

@@ -92,7 +92,8 @@ def cmd_depth(args) -> int:
     if args.pauli is None:
         raise DomainError("give a Pauli word or --table")
     word = parse_pauli(args.pauli)
-    if word.weight == 1:
+    if word.weight == 1 and word.n == net.n:  # depth() refuses other sizes
+        netmod.require_full_local(net)
         payload = {"pauli": args.pauli, "local": True, "depth": 0,
                    "time_contribution": 0.0}
         _write_json(payload, args.output)

@@ -88,28 +88,6 @@ def depth_upper_bound(n: int) -> int:
     return max(0, 2 * (n - 2))
 
 
-def replay_witness(start_edge: tuple[int, int], witness) -> frozenset[int]:
-    """Apply witness steps to the start edge's support; used for validation."""
-    support = {start_edge[0], start_edge[1]}
-    for step in witness:
-        u, v = step.edge
-        if step.kind == GROW:
-            anchor = u if step.vertex == v else v
-            if step.vertex in support or anchor not in support:
-                raise DomainError(f"invalid grow step {step}")
-            support.add(step.vertex)
-        elif step.kind == SHRINK:
-            anchor = u if step.vertex == v else v
-            if step.vertex not in support or anchor not in support:
-                raise DomainError(f"invalid shrink step {step}")
-            support.remove(step.vertex)
-            if not support:
-                raise DomainError(f"shrink step {step} emptied the support")
-        else:
-            raise DomainError(f"unknown step kind {step.kind!r}")
-    return frozenset(support)
-
-
 def _components(adj, vertices) -> list[set[int]]:
     """Connected components of the induced subgraph, in order of least vertex."""
     comps, seen = [], set()

@@ -255,18 +255,6 @@ def network_from_dict(data: dict) -> QubitNetwork:
     return QubitNetwork(n=n, edges=edges, omega=omega, control_model=model)
 
 
-def network_to_dict(net: QubitNetwork) -> dict:
-    return {
-        "n": net.n,
-        "control_model": net.control_model,
-        "edges": [
-            {"i": i, "j": j, "g": net.edges[(i, j)].tolist()}
-            for (i, j) in net.sorted_edges()
-        ],
-        "omega": net.omega.tolist(),
-    }
-
-
 def json_int(value) -> int:
     """A JSON integer as it is; a float, string or bool is a ``ValueError``."""
     if type(value) is not int:

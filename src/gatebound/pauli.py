@@ -85,10 +85,6 @@ class PauliString:
         return f"PauliString({pre}{format_pauli(self)})"
 
 
-def identity(n: int) -> PauliString:
-    return PauliString(n, 0, 0, 0)
-
-
 def single(n: int, qubit: int, axis: str) -> PauliString:
     """Weight-1 word with the given axis label on one qubit."""
     if not 0 <= qubit < n:

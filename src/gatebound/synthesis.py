@@ -26,7 +26,7 @@ from itertools import chain
 from . import bounds
 from .bounds import BoundReport, GeneratorSpec
 from .depth import DepthResult, GROW, depth as witness_depth
-from .errors import DomainError, ParseError
+from .errors import DimensionError, DomainError, ParseError
 from .network import (AXES, QubitNetwork, dump_json, json_int, json_number, read_json,
                       require_full_local, strongest_couplings)
 from .pauli import PauliString, commutator, multiply, two_body
@@ -108,6 +108,37 @@ def empty_schedule(n: int) -> Schedule:
     return Schedule(n, ())
 
 
+def check_schedule(net: QubitNetwork, schedule: Schedule) -> None:
+    """Refuse a schedule the network cannot run: one on another qubit count
+    (``DimensionError``), or a primitive that is neither a rotation about a
+    unit 3-vector axis on one of its qubits nor an evolution on a strongest
+    coupling of one of its edges with the sign the drift gives (``DomainError``)."""
+    if schedule.n != net.n:
+        raise DimensionError(
+            f"schedule on {schedule.n} qubits does not match network of {net.n}"
+        )
+    for prim in schedule.primitives:
+        if isinstance(prim, LocalRotation):
+            norm = math.hypot(*prim.axis)
+            if len(prim.axis) != 3 or not math.isclose(norm, 1.0, rel_tol=0, abs_tol=1e-9):
+                raise DomainError(f"rotation axis must be a unit 3-vector, got {prim.axis}")
+            if not 0 <= prim.qubit < net.n:
+                raise DomainError(f"qubit {prim.qubit} outside 0..{net.n - 1}")
+        elif isinstance(prim, TwoBodyEvolution):
+            strongest = strongest_couplings(net, prim.edge)  # raises on unknown edges
+            g_used = prim.g_used
+            # the drift term g*s_a s_b only ever runs as exp(-i*t*g*s_a s_b)
+            if (not (math.isfinite(g_used) and any(
+                    abs(g - g_used) <= 1e-9 * abs(g_used) for _, _, g in strongest))
+                    or prim.sign != (-1 if g_used > 0 else 1)):
+                raise DomainError(
+                    f"evolution claims sign {prim.sign:+d} on coupling {g_used} "
+                    f"of edge {prim.edge}, but the drift runs its strongest "
+                    f"entries, +-{abs(strongest[0][2])}, with sign -sgn(g) only")
+        else:
+            raise DomainError(f"unknown primitive {prim!r}")
+
+
 # ---------------------------------------------------------------------------
 # JSON form
 
@@ -141,16 +172,18 @@ def schedule_from_dict(data: dict) -> Schedule:
         try:
             kind = entry["kind"]
             if kind == "local":
+                x, y, z = entry["axis"]
                 prims.append(LocalRotation(
                     qubit=json_int(entry["qubit"]),
-                    axis=tuple(json_number(v) for v in entry["axis"]),
+                    axis=(json_number(x), json_number(y), json_number(z)),
                     angle=json_number(entry["angle"]),
                 ))
             elif kind == "two_body":
+                u, v = entry["edge"]
                 prims.append(TwoBodyEvolution(
-                    edge=(json_int(entry["edge"][0]), json_int(entry["edge"][1])),
+                    edge=(json_int(u), json_int(v)),
                     alpha=entry["alpha"], beta=entry["beta"],
-                    sign=1 if entry["sign"] == "+" else -1,
+                    sign={"+": 1, "-": -1}[entry["sign"]],
                     angle=json_number(entry["angle"]),
                     g_used=json_number(entry["g_used"]),
                 ))
@@ -220,8 +253,6 @@ def select_two_body(
     zero-time rotations on the two endpoints map it onto (alpha, beta) with
     the requested sign.  Duration is exactly k/edge_best_coupling.
     """
-    if k < 0:
-        raise DomainError("angle k must be >= 0")
     if sign not in (1, -1):
         raise DomainError("sign must be +1 or -1")
     u, v = edge

@@ -6,7 +6,10 @@ string-level depth search walks Pauli strings directly instead of support
 sets, the lexicographic subset search finds depths and witnesses by
 breadth-first search instead of from Steiner trees, words are parsed one
 character at a time, and the schedule reference applies each Pauli of a
-two-body step as a 2 x 2 matmul instead of as flips.
+two-body step as a 2 x 2 matmul instead of as flips.  The JSON writers of
+a network and a generator and the step-by-step witness replay live here
+too: the package reads those forms and builds witnesses, but only the
+tests need them written back or replayed.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from collections import deque
 import numpy as np
 
 from gatebound import GeneratorSpec, PauliString, QubitNetwork, commutator, commutes
+from gatebound.depth import GROW, SHRINK
 from gatebound.errors import DomainError, ParseError
 from gatebound.pauli import two_body
 from gatebound.synthesis import LocalRotation
@@ -91,6 +95,10 @@ def word_rotation(word: PauliString, angle: float, sign: int = 1) -> np.ndarray:
     return math.cos(angle) * np.eye(M.shape[0]) + 1j * sign * math.sin(angle) * M
 
 
+def identity(n: int) -> PauliString:
+    return PauliString(n, 0, 0, 0)
+
+
 def all_strings(n: int, min_weight: int = 0):
     """Every phase-0 string on n qubits with at least the given weight."""
     for x in range(1 << n):
@@ -131,6 +139,11 @@ def random_spec(rng, n: int, l: int, coeff_range=(0.1, 1.0),
                 continue
         coeffs = rng.uniform(*coeff_range, size=l) * rng.choice([-1.0, 1.0], size=l)
         return GeneratorSpec(tuple((float(a), w) for a, w in zip(coeffs, words)))
+
+
+def spec_to_list(spec: GeneratorSpec) -> list:
+    """The target file's JSON form of a generator, ``spec_from_list``'s inverse."""
+    return [{"coeff": a, "pauli": str(p)} for a, p in spec.terms]
 
 
 def commutator_weight_oracle(spec: GeneratorSpec) -> float:
@@ -203,6 +216,19 @@ def grid_graph(rows: int, cols: int, g: float = 1.0) -> QubitNetwork:
     return QubitNetwork(n=rows * cols, edges=edges)
 
 
+def network_to_dict(net: QubitNetwork) -> dict:
+    """The network file's full JSON form, ``network_from_dict``'s inverse."""
+    return {
+        "n": net.n,
+        "control_model": net.control_model,
+        "edges": [
+            {"i": i, "j": j, "g": net.edges[(i, j)].tolist()}
+            for (i, j) in net.sorted_edges()
+        ],
+        "omega": net.omega.tolist(),
+    }
+
+
 def random_connected_network(rng, n: int, extra_edges: int = 1,
                              entries_per_edge: int = 3) -> QubitNetwork:
     """Random spanning tree plus extra edges; couplings in +-[0.5, 1.5]."""
@@ -229,6 +255,28 @@ def random_connected_network(rng, n: int, extra_edges: int = 1,
             edges[(u, v)] = tensor()
             extra_edges -= 1
     return QubitNetwork(n=n, edges=edges)
+
+
+def replay_witness(start_edge: tuple[int, int], witness) -> frozenset[int]:
+    """Apply witness steps to the start edge's support, checking each one."""
+    support = {start_edge[0], start_edge[1]}
+    for step in witness:
+        u, v = step.edge
+        if step.kind == GROW:
+            anchor = u if step.vertex == v else v
+            if step.vertex in support or anchor not in support:
+                raise DomainError(f"invalid grow step {step}")
+            support.add(step.vertex)
+        elif step.kind == SHRINK:
+            anchor = u if step.vertex == v else v
+            if step.vertex not in support or anchor not in support:
+                raise DomainError(f"invalid shrink step {step}")
+            support.remove(step.vertex)
+            if not support:
+                raise DomainError(f"shrink step {step} emptied the support")
+        else:
+            raise DomainError(f"unknown step kind {step.kind!r}")
+    return frozenset(support)
 
 
 def string_depth_oracle(net: QubitNetwork) -> dict[tuple[int, int], int]:

@@ -29,7 +29,7 @@ from gatebound import (
     two_qubit_bound,
 )
 from gatebound import bounds
-from gatebound.bounds import spec_from_list, spec_to_list
+from gatebound.bounds import spec_from_list
 from gatebound.cli import main
 from gatebound.errors import DomainError
 from gatebound.network import ising_chain, star
@@ -41,6 +41,7 @@ from helpers import (
     kron_word,
     random_connected_network,
     random_spec,
+    spec_to_list,
     uniform_chain,
 )
 

@@ -577,6 +577,44 @@ def test_non_number_field_is_a_parse_error(three_path, zzz_target, tmp_path, cap
     assert _one_line_error(capsys).startswith("parse error: ")
 
 
+@pytest.mark.parametrize("mutate", [
+    _set_first("two_body", "sign", "x"),
+    _set_first("two_body", "sign", True),
+    _set_first("two_body", "sign", None),
+    _set_first("two_body", "sign", 1),
+    _set_first("two_body", "edge", [0, 1, 7]),
+    _set_first("local", "axis", [1.0, 0.0, 0.0, 0.0]),
+], ids=["sign-x", "sign-true", "sign-null", "sign-1", "three-entry-edge", "four-entry-axis"])
+def test_malformed_primitive_is_a_parse_error(three_path, zzz_target, tmp_path, capsys,
+                                              mutate):
+    # a sign other than "+" or "-" once read as "-", which the ZZZ certificate
+    # uses, and an edge's third entry was dropped: both verified with exit 0
+    schedule = tmp_path / "s.json"
+    assert main(["synth", three_path, zzz_target, "--epsilon", "0.05", "-o", str(schedule)]) == 0
+    data = json.loads(schedule.read_text())
+    mutate(data)
+    schedule.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", three_path, zzz_target, "--epsilon", "0.05",
+                 "--schedule", str(schedule)]) == 2
+    assert _one_line_error(capsys).startswith("parse error: ")
+
+
+@pytest.mark.parametrize("net, word, message", [
+    ({"preset": "star", "n": 3}, "IXI", "star_term_bound"),
+    ({"preset": "ising_chain", "n": 3}, "IIIIIX", "word on 6 qubits does not match network of 3"),
+], ids=["star", "six-qubit-word"])
+def test_depth_checks_a_weight_one_word_as_any_other(tmp_path, capsys, net, word, message):
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(net))
+    assert main(["depth", str(path), word]) == 3
+    local_error = _one_line_error(capsys)
+    assert message in local_error
+    heavier = word[:-2] + "XX"
+    assert main(["depth", str(path), heavier]) == 3
+    assert _one_line_error(capsys) == local_error
+
+
 @pytest.mark.parametrize("command, flags", [("grape", ["--time", "1.0"]),
                                             ("scan", ["--times", "0.5,1.0"])])
 def test_overflowing_target_is_one_domain_error_line(tmp_path, capsys, command, flags):

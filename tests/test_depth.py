@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from gatebound import PauliString, depth, depth_of_support, depth_upper_bound, max_depth_table
-from gatebound.depth import replay_witness
 from gatebound.errors import DomainError, ResourceLimitError
 from gatebound.pauli import parse_pauli
 
@@ -13,6 +12,7 @@ from helpers import (
     grid_graph,
     lexicographic_depth_oracle,
     random_connected_network,
+    replay_witness,
     star_full_local,
     string_depth_oracle,
     uniform_chain,

@@ -20,13 +20,13 @@ from gatebound.network import (
     dump_json,
     load_network,
     network_from_dict,
-    network_to_dict,
     strongest_couplings,
 )
 from gatebound.simulator import drift_matrix
 from gatebound.synthesis import schedule_to_dict, synth_pauli_term
 
-from helpers import kron_word, random_connected_network, random_word, uniform_chain
+from helpers import (kron_word, network_to_dict, random_connected_network, random_word,
+                     uniform_chain)
 
 
 def test_min_coupling_uniform_chain():

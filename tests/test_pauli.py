@@ -9,14 +9,13 @@ from gatebound import PauliString, commutator, commutes, hs_norm_commutator, mul
 from gatebound.errors import DimensionError, DomainError, ParseError, ResourceLimitError
 from gatebound.pauli import (
     format_pauli,
-    identity,
     parse_pauli,
     single,
     symplectic_bits,
     to_matrix,
 )
 
-from helpers import all_strings, kron_word, parse_pauli_oracle, random_word
+from helpers import all_strings, identity, kron_word, parse_pauli_oracle, random_word
 
 
 def test_single_qubit_products():
