@@ -368,10 +368,6 @@ class PolyMembership:
     growth class its coarse time bound then falls into."""
 
     member: bool
-    n: int
-    l: int
-    norm_inf: float
-    degree_budget: float
     l_exponent: float
     norm_exponent: float
     scaling_exponent: float | None
@@ -405,14 +401,4 @@ def poly_membership(spec: GeneratorSpec, degree_budget: float) -> PolyMembership
     else:
         exponent = 3 * l_exp + 1 + 2 * a_exp
         klass = f"polynomial, O(n^{exponent:g})"
-    return PolyMembership(
-        member=member,
-        n=n,
-        l=l,
-        norm_inf=ai,
-        degree_budget=degree_budget,
-        l_exponent=l_exp,
-        norm_exponent=a_exp,
-        scaling_exponent=exponent,
-        scaling_class=klass,
-    )
+    return PolyMembership(member, l_exp, a_exp, exponent, klass)

@@ -79,6 +79,8 @@ def cmd_bound(args) -> int:
 
 
 def cmd_depth(args) -> int:
+    if args.table and args.pauli is not None:
+        raise ParseError("give a Pauli word or --table, not both")
     net = netmod.load_network(args.graph)
     if args.table:
         table = max_depth_table(net)
@@ -133,6 +135,13 @@ def cmd_verify(args) -> int:
     if not (math.isfinite(bound) and math.isfinite(duration)):
         raise DomainError("result is not finite; inputs too large")
     U_target = sim.target_unitary(spec)
+    # Several terms are eigendecomposed, so the target is off by up to about
+    # 5e-16 * ||a||_1 (the worst seen against exact products of commuting
+    # terms on 2 to 8 qubits, ||a||_1 from 1e3 to 1e14); one term is closed form.
+    resolution = 5e-16 * spec.norm_1
+    if spec.l > 1 and not resolution <= args.epsilon + 1e-8:
+        raise DomainError(f"the dense target is only good to about {resolution:.3g}, "
+                          f"so it cannot resolve epsilon {args.epsilon}")
     U = sim.unitary_of_schedule(net, schedule)
     # Rounding in U grows with the repeat count and moves the normalized error
     # by up to about a quarter of the unitarity defect.  The check below allows

@@ -75,10 +75,12 @@ class DepthStep:
 
 @dataclass(frozen=True)
 class DepthResult:
-    target_support: tuple[int, ...]
-    depth: int
     witness: tuple[DepthStep, ...]
     start_edge: tuple[int, int] | None
+
+    @property
+    def depth(self) -> int:
+        return len(self.witness)
 
 
 def depth_upper_bound(n: int) -> int:
@@ -264,12 +266,7 @@ def depth_of_support(net: QubitNetwork, support) -> DepthResult:
     adj = [net.neighbors(v) for v in range(net.n)]
     U = _steiner_set(net, adj, terminals)
     start, steps = _smallest_walk(adj, net.sorted_edges(), U, terminals)
-    return DepthResult(
-        target_support=tuple(vertices),
-        depth=len(steps),
-        witness=tuple(steps),
-        start_edge=start,
-    )
+    return DepthResult(tuple(steps), start)
 
 
 def depth(net: QubitNetwork, word: PauliString) -> DepthResult:

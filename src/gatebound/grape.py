@@ -80,15 +80,26 @@ def control_operators(net: QubitNetwork) -> list[np.ndarray]:
     return [to_matrix(single(net.n, q, a)) for q, a in terms]
 
 
-def _check_size(N: int, dim: int) -> None:
-    if N * dim * dim > MAX_GRAPE_ENTRIES:
-        raise ResourceLimitError(f"{N} slices of {dim} x {dim} exceed the "
-                                 f"pulse optimization cap of {MAX_GRAPE_ENTRIES} entries")
-
-
 def _check_time(T) -> None:
     if not (math.isfinite(T) and T > 0):
         raise DomainError(f"T must be finite and positive, got {T}")
+
+
+def _operators(net: QubitNetwork, N: int, C: int | None = None, U_target=None):
+    """The drift and the stacked controls of the network, (H0, Hk), once N
+    slices fit the size cap, and a pulse set's C controls and a target's
+    shape match them."""
+    Hk = np.array(control_operators(net))
+    if C is not None and C != len(Hk):
+        raise DomainError(f"pulse set has {C} controls, network provides {len(Hk)}")
+    H0 = drift_matrix(net)
+    dim = len(H0)
+    if N * dim * dim > MAX_GRAPE_ENTRIES:
+        raise ResourceLimitError(f"{N} slices of {dim} x {dim} exceed the "
+                                 f"pulse optimization cap of {MAX_GRAPE_ENTRIES} entries")
+    if U_target is not None and U_target.shape != (dim, dim):
+        raise DomainError(f"target must be {dim} x {dim}")
+    return H0, Hk
 
 
 def _slice_propagators(H0, Hk, amplitudes, dt):
@@ -96,7 +107,6 @@ def _slice_propagators(H0, Hk, amplitudes, dt):
 
     Returns (Us, vals, vecs) with Us[j] = exp(-i*dt*H_j).
     """
-    _check_size(len(amplitudes), H0.shape[0])
     H = H0[None, :, :] + np.tensordot(amplitudes, Hk, axes=(1, 0))
     try:
         vals, vecs = np.linalg.eigh(H)
@@ -113,12 +123,8 @@ def _slice_propagators(H0, Hk, amplitudes, dt):
 
 def propagate(net: QubitNetwork, pulses: PulseSet) -> np.ndarray:
     """Total propagator of the pulse set (slice 0 acts first)."""
-    Hk = control_operators(net)
-    if pulses.amplitudes.shape[1] != len(Hk):
-        raise DomainError(f"pulse set has {pulses.amplitudes.shape[1]} controls, "
-                          f"network provides {len(Hk)}")
-    H0 = drift_matrix(net)
-    Us, _, _ = _slice_propagators(H0, np.array(Hk), pulses.amplitudes, pulses.dt)
+    H0, Hk = _operators(net, pulses.N, pulses.amplitudes.shape[1])
+    Us, _, _ = _slice_propagators(H0, Hk, pulses.amplitudes, pulses.dt)
     U = np.eye(H0.shape[0], dtype=complex)
     for j in range(pulses.N):
         U = Us[j] @ U
@@ -166,8 +172,7 @@ def _infidelity_and_gradient(H0, Hk, U_target, amplitudes, dt):
 
 def gradient(net: QubitNetwork, pulses: PulseSet, U_target: np.ndarray) -> np.ndarray:
     """Exact infidelity gradient, shape (N, C)."""
-    Hk = np.array(control_operators(net))
-    H0 = drift_matrix(net)
+    H0, Hk = _operators(net, pulses.N, pulses.amplitudes.shape[1], U_target)
     _, grad = _infidelity_and_gradient(H0, Hk, U_target, pulses.amplitudes, pulses.dt)
     return grad
 
@@ -200,12 +205,8 @@ def optimize(
         raise DomainError("need N, restarts and max_iters >= 1 and seed >= 0")
     if not (math.isfinite(tol) and tol > 0):
         raise DomainError(f"tol must be finite and positive, got {tol}")
-    Hk, H0 = np.array(control_operators(net)), drift_matrix(net)
-    C, dim = len(Hk), len(H0)
-    _check_size(N, dim)
-    if U_target.shape != (dim, dim):
-        raise DomainError(f"target must be {dim} x {dim}")
-    dt = T / N
+    H0, Hk = _operators(net, N, U_target=U_target)
+    C, dt = len(Hk), T / N
     span = INIT_SCALE * min_coupling(net)
     if not math.isfinite(2 * span):  # the initial amplitudes need a finite range
         raise DomainError("couplings too large for pulse optimization")
@@ -245,24 +246,11 @@ def optimize(
                     achieved_infidelity=float(infid), seed=seed, restart_index=r)
 
 
-@dataclass(frozen=True)
-class ScanRow:
-    T: float
-    best_infidelity: float
-    iterations: int
-    restart_index: int
-
-
-def time_scan(net: QubitNetwork, U_target: np.ndarray, T_list, **kwargs) -> list[ScanRow]:
-    """One optimize run per duration, all checked before the first; rows are CSV-ready."""
+def time_scan(net: QubitNetwork, U_target: np.ndarray, T_list, **kwargs) -> list[PulseSet]:
+    """The best pulse set of one optimize run per duration, all checked before the first."""
     for T in T_list:
         _check_time(T)
-    rows = []
-    for T in T_list:
-        pulses = optimize(net, U_target, T, **kwargs)
-        rows.append(ScanRow(float(T), pulses.achieved_infidelity, pulses.iterations,
-                            pulses.restart_index))
-    return rows
+    return [optimize(net, U_target, T, **kwargs) for T in T_list]
 
 
 def write_pulse_csv(pulses: PulseSet, fh) -> None:
@@ -277,5 +265,5 @@ def write_pulse_csv(pulses: PulseSet, fh) -> None:
 def write_scan_csv(rows, fh) -> None:
     fh.write("T,best_infidelity,iterations,restart_index\n")
     for row in rows:
-        fh.write(f"{row.T:.12g},{row.best_infidelity:.12g},"
+        fh.write(f"{row.T:.12g},{row.achieved_infidelity:.12g},"
                  f"{row.iterations},{row.restart_index}\n")

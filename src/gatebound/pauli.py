@@ -160,33 +160,15 @@ def symplectic_bits(words) -> np.ndarray:
     return np.unpackbits(packed, axis=2, count=n, bitorder="little")
 
 
-@dataclass(frozen=True)
-class CommutatorTerm:
-    """Exact decomposition [P, Q] = scale * i**phase_exp * word."""
+def commutator(p: PauliString, q: PauliString) -> PauliString | None:
+    """[P, Q]/2 = PQ with its phase, or None when P and Q commute.
 
-    scale: int
-    phase_exp: int
-    word: PauliString
-
-    @property
-    def phase(self) -> complex:
-        return 1j ** self.phase_exp
-
-    @property
-    def coefficient(self) -> complex:
-        return self.scale * self.phase
-
-
-def commutator(p: PauliString, q: PauliString) -> CommutatorTerm | None:
-    """[P, Q] as 2 * (+-i) * word, or None when P and Q commute.
-
-    For phase-0 Hermitian words the phase factor is always +-i.
+    For phase-0 Hermitian words the phase is always +-i.
     """
     _check_same_n(p, q)
     if commutes(p, q):
         return None
-    prod = multiply(p, q)  # [P,Q] = PQ - QP = 2 PQ when anticommuting
-    return CommutatorTerm(scale=2, phase_exp=prod.phase_exp, word=prod.bare())
+    return multiply(p, q)  # [P,Q] = PQ - QP = 2 PQ when anticommuting
 
 
 def hs_norm_commutator(p: PauliString, q: PauliString) -> float:

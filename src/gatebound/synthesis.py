@@ -104,10 +104,6 @@ class Schedule:
         return self.repeat * sum(p.duration for p in self.primitives)
 
 
-def empty_schedule(n: int) -> Schedule:
-    return Schedule(n, ())
-
-
 def check_schedule(net: QubitNetwork, schedule: Schedule) -> None:
     """Refuse a schedule the network cannot run: one on another qubit count
     (``DimensionError``), or a primitive that is neither a rotation about a
@@ -260,7 +256,7 @@ def select_two_body(
         u, v = v, u
         alpha, beta = beta, alpha
     if k == 0.0:
-        return empty_schedule(net.n)
+        return Schedule(net.n, ())
     a0, b0, g0 = strongest_couplings(net, (u, v))[0]
     native_sign = -1 if g0 > 0 else 1  # evolving exp(-i*t*g0*...) for t=k/|g0|
     evo = TwoBodyEvolution(edge=(u, v), alpha=a0, beta=b0,
@@ -299,9 +295,9 @@ def _build_ladder(net: QubitNetwork, word: PauliString, result: DepthResult):
         # that conjugation really advances it back to the current word
         prev = multiply(q, current).bare()
         check = commutator(q, prev)
-        if check is None or check.word != current:
+        if check is None or check.bare() != current:
             raise AssertionError("conjugation ladder construction broke")
-        e = multiply(q, prev).phase_exp  # odd; the wrap contributes -i*i**e
+        e = check.phase_exp  # odd; the wrap contributes -i*i**e
         eta *= 1 if e == 1 else -1
         conjugators.append(q)
         current = prev
@@ -338,7 +334,7 @@ def _term_schedule(net: QubitNetwork, a: float, word: PauliString,
                    walk: DepthResult | None) -> Schedule:
     """exp(i*a*P) for a checked word, its ladder built along ``walk``."""
     if a == 0.0:
-        return empty_schedule(net.n)
+        return Schedule(net.n, ())
     if word.weight == 1:
         qubit = word.support[0]
         axis = _UNIT[word.label(qubit).lower()]

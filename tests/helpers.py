@@ -332,8 +332,8 @@ def string_depth_oracle(net: QubitNetwork) -> dict[tuple[int, int], int]:
             c = commutator(g, p)
             if c is None:
                 continue
-            if (c.word.x_bits, c.word.z_bits) not in dist:
-                assign_orbit(c.word, d + 1)
+            if (c.x_bits, c.z_bits) not in dist:
+                assign_orbit(c.bare(), d + 1)
     return dist
 
 

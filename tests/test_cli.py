@@ -429,6 +429,26 @@ def test_verify_without_unitarity_gives_no_verdict(three_path, tmp_path, capsys)
     assert "unitarity" in _one_line_error(capsys)
 
 
+def test_verify_gives_no_verdict_past_the_dense_target_resolution(tmp_path, capsys):
+    # the words commute, so the schedule is exact; the eigendecomposed target
+    # is off by about 5e-16 * ||a||_1, far past epsilon.  One term is closed form.
+    net, target = tmp_path / "net.json", tmp_path / "target.json"
+    net.write_text(json.dumps({"preset": "ising_chain", "n": 6, "J": 1e308}))
+    terms = [{"coeff": 1e300, "pauli": "IZIZXX"}, {"coeff": 0.5, "pauli": "XYXYIX"},
+             {"coeff": -1.25, "pauli": "XXXIXZ"}]
+    target.write_text(json.dumps(terms))
+    assert main(["verify", str(net), str(target), "--epsilon", "0.05"]) == 3
+    assert _one_line_error(capsys).startswith("domain error: the dense target")
+    target.write_text(json.dumps(terms[:1]))
+    assert main(["verify", str(net), str(target), "--epsilon", "0.05"]) == 0
+    assert json.loads(capsys.readouterr().out)["pass"] is True
+
+
+def test_depth_word_and_table_together_is_a_parse_error(three_path, capsys):
+    assert main(["depth", three_path, "ZZZ", "--table"]) == 2
+    assert _one_line_error(capsys).startswith("parse error: ")
+
+
 @pytest.mark.parametrize("command", ["bound", "verify"])
 def test_non_finite_results_are_a_domain_error(three_path, tmp_path, capsys, command):
     targets = [[{"coeff": 1e150, "pauli": "ZZI"}, {"coeff": 1.0, "pauli": "XII"}]]

@@ -221,6 +221,16 @@ class TestGradient:
         _, g = _infidelity_and_gradient(H0, Hk, target, -amps, 0.05)
         assert np.allclose(g_neg, -g, atol=1e-12)
 
+    @pytest.mark.parametrize("controls, dim, message", [(3, 4, "pulse set has 3 controls"),
+                                                        (4, 2, "target must be 4 x 4")],
+                             ids=["control-count", "target-shape"])
+    def test_mismatched_inputs_are_a_domain_error(self, controls, dim, message):
+        # the same checks as propagate and optimize make
+        net = ising_chain(2, J=1.0)
+        pulses = make_pulses(np.random.default_rng(17), 1.0, 4, controls)
+        with pytest.raises(DomainError, match=message):
+            gradient(net, pulses, np.eye(dim, dtype=complex))
+
 
 class TestOptimize:
     def test_seed_reproducibility(self):
@@ -330,9 +340,18 @@ class TestScanAndCsv:
                          N=32, restarts=4, tol=tol, max_iters=300, seed=11)
         minimum = exact_three_spin(1.0, 1.0)
         for row in rows:
-            if row.best_infidelity < tol:
+            if row.achieved_infidelity < tol:
                 assert row.T >= minimum
-        assert any(row.best_infidelity < tol for row in rows)
+        assert any(row.achieved_infidelity < tol for row in rows)
+
+    def test_scan_pulse_sets_reproduce_their_infidelity(self):
+        net = ising_chain(2, J=1.0)
+        target = target_unitary(GeneratorSpec(((0.7, parse_pauli("ZZ")),)))
+        scan = time_scan(net, target, [0.5, 1.0], N=8, restarts=2, tol=1e-4,
+                         max_iters=40, seed=4)
+        for pulses in scan:
+            infid = gate_infidelity(target, propagate(net, pulses))
+            assert abs(infid - pulses.achieved_infidelity) <= 1e-9
 
     def test_scan_rows_and_csv(self):
         net = ising_chain(2, J=1.0)

@@ -84,10 +84,10 @@ def test_commutes_matches_matrix_test_exhaustively():
 
 def test_commutator_examples():
     c = commutator(parse_pauli("X"), parse_pauli("Y"))
-    assert c.scale == 2 and c.phase == 1j and format_pauli(c.word) == "Z"
+    assert c.phase == 1j and format_pauli(c) == "Z"
     assert commutator(parse_pauli("XI"), parse_pauli("IZ")) is None
     c = commutator(parse_pauli("ZYI"), parse_pauli("IXZ"))
-    assert c.scale == 2 and c.phase == -1j and format_pauli(c.word) == "ZZZ"
+    assert c.phase == -1j and format_pauli(c) == "ZZZ"
 
 
 def test_commutator_reconstruction_matches_matrices():
@@ -102,7 +102,7 @@ def test_commutator_reconstruction_matches_matrices():
         if c is None:
             assert np.linalg.norm(oracle) < 1e-12
         else:
-            rebuilt = c.coefficient * to_matrix(c.word)
+            rebuilt = 2 * to_matrix(c)
             assert np.allclose(rebuilt, oracle, atol=1e-12)
         checked += 1
 

@@ -20,7 +20,7 @@ from gatebound import (
 from gatebound.errors import DimensionError, DomainError, ResourceLimitError
 from gatebound.pauli import parse_pauli, to_matrix
 from gatebound.simulator import drift_matrix, expi_hermitian, unitarity_defect
-from gatebound.synthesis import LocalRotation, Schedule, TwoBodyEvolution, empty_schedule
+from gatebound.synthesis import LocalRotation, Schedule, TwoBodyEvolution
 
 from helpers import (
     all_strings,
@@ -117,7 +117,7 @@ class TestTargetUnitary:
 class TestScheduleUnitary:
     def test_empty_schedule_is_identity(self):
         net = uniform_chain(2)
-        assert np.array_equal(unitary_of_schedule(net, empty_schedule(2)), np.eye(4))
+        assert np.array_equal(unitary_of_schedule(net, Schedule(2, ())), np.eye(4))
 
     def test_calls_return_equal_arrays_that_share_no_memory(self):
         rng = np.random.default_rng(9)
@@ -151,7 +151,7 @@ class TestScheduleUnitary:
     def test_rejects_mismatched_network(self):
         net = uniform_chain(3)
         with pytest.raises(DimensionError):
-            unitary_of_schedule(net, empty_schedule(2))
+            unitary_of_schedule(net, Schedule(2, ()))
 
     @pytest.mark.parametrize("g", [np.diag([1.0, 1.0, 0.0]), np.diag([1.0, -1.0, 1.0]),
                                    np.array([[0.0, 0.2, 0.0], [0.0, 0.0, -0.75], [0.0] * 3])],
