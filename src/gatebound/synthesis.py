@@ -25,10 +25,10 @@ from itertools import chain
 
 from . import bounds
 from .bounds import BoundReport, GeneratorSpec
-from .depth import DepthResult, GROW, depth as witness_depth
+from .depth import DepthResult, GROW
 from .errors import DimensionError, DomainError, ParseError
 from .network import (AXES, QubitNetwork, dump_json, json_int, json_number, read_json,
-                      require_full_local, strongest_couplings)
+                      strongest_couplings)
 from .pauli import PauliString, commutator, multiply, two_body
 
 _UNIT = {"x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0), "z": (0.0, 0.0, 1.0)}
@@ -185,6 +185,8 @@ def schedule_from_dict(data: dict) -> Schedule:
                 ))
             else:
                 raise ParseError(f"unknown primitive kind {kind!r}")
+        except ParseError:
+            raise
         except (KeyError, TypeError, ValueError, IndexError):
             raise ParseError(f"malformed primitive {entry!r}") from None
     try:
@@ -305,57 +307,42 @@ def _build_ladder(net: QubitNetwork, word: PauliString, result: DepthResult):
     return current, conjugators, eta
 
 
-def _word_edge_labels(word: PauliString, edge: tuple[int, int]):
-    u, v = edge
-    return word.label(u).lower(), word.label(v).lower()
-
-
 def synth_pauli_term(net: QubitNetwork, a: float, word: PauliString) -> Schedule:
-    """Schedule whose unitary is exactly exp(i*a*P) for one Pauli word.
+    """Schedule whose unitary is exactly exp(i*a*P) for one Pauli word: the
+    one-term report's pass, so the checks and the walk are ``bound_report``'s.
 
     Weight-1 words are free local rotations.  Heavier words run the
     conjugation ladder along a shortest depth witness; total duration never
-    exceeds (depth*pi/2 + |a|)/J.
+    exceeds (depth*pi/2 + |a|)/J.  A zero ``a`` is checked as a stand-in 1
+    and gets no search and no primitives.
     """
-    require_full_local(net)
-    if word.n != net.n:
-        raise DomainError(f"word on {word.n} qubits does not match network of {net.n}")
-    if word.is_identity:
-        raise DomainError("identity words have no schedule")
-    if word.phase_exp != 0:
-        raise DomainError("words must carry phase 0; fold signs into a")
-    if not math.isfinite(a):
-        raise DomainError(f"coefficient {a} of {word} is not finite")
-    walk = witness_depth(net, word) if a != 0.0 and word.weight > 1 else None
-    return _term_schedule(net, a, word, walk)
+    report = bounds.bound_report(GeneratorSpec(((a or 1.0, word),)), net, 1.0,
+                                 use_exact_depths=a != 0.0)
+    return Schedule(net.n, _term_schedule(net, a, word, report.walks[0]))
 
 
 def _term_schedule(net: QubitNetwork, a: float, word: PauliString,
-                   walk: DepthResult | None) -> Schedule:
-    """exp(i*a*P) for a checked word, its ladder built along ``walk``."""
+                   walk: DepthResult | None) -> tuple:
+    """The primitives of exp(i*a*P) for a checked word, its ladder built along ``walk``."""
     if a == 0.0:
-        return Schedule(net.n, ())
+        return ()
     if word.weight == 1:
         qubit = word.support[0]
         axis = _UNIT[word.label(qubit).lower()]
         # exp(i*a*s) = exp(-i*(-a)*s)
-        return Schedule(net.n, (LocalRotation(qubit, axis, -a),))
+        return (LocalRotation(qubit, axis, -a),)
 
     core_word, conjugators, eta = _build_ladder(net, word, walk)
-
-    core_edge = walk.start_edge
-    alpha, beta = _word_edge_labels(core_word, core_edge)
+    # the core and each wrap run on the labels their ladder word has at their edge
+    u, v = walk.start_edge
     a_core = a * eta
-    core = select_two_body(net, core_edge, alpha, beta,
+    core = select_two_body(net, (u, v), core_word.label(u).lower(), core_word.label(v).lower(),
                            1 if a_core > 0 else -1, abs(a_core))
-
-    wraps = []
-    for q, step in zip(conjugators, walk.witness):
-        la, lb = _word_edge_labels(q, step.edge)  # the step's edge is (min, max)
-        wraps.append(select_two_body(net, step.edge, la, lb, 1, math.pi / 4).primitives)
+    wraps = [select_two_body(net, (u, v), q.label(u).lower(), q.label(v).lower(), 1,
+                             math.pi / 4).primitives
+             for q, (u, v) in zip(conjugators, (step.edge for step in walk.witness))]
     # time order: outermost wrap first, then inner wraps, core, and unwinds
-    prims = chain(*reversed(wraps), core.primitives, *map(_unwrap, wraps))
-    return Schedule(net.n, tuple(prims))
+    return tuple(chain(*reversed(wraps), core.primitives, *map(_unwrap, wraps)))
 
 
 def _unwrap(wrap: tuple) -> tuple:
@@ -372,8 +359,10 @@ def _unwrap(wrap: tuple) -> tuple:
 def report_schedule(net: QubitNetwork, report: BoundReport) -> Schedule:
     """One term-by-term pass with angles a_i/m along the walks of a report
     built with exact depths, run m times."""
+    if not report.exact_depths:
+        raise DomainError("report_schedule needs a report built with use_exact_depths=True")
     m = report.trotter_steps
-    one_pass = (_term_schedule(net, a / m, word, walk).primitives
+    one_pass = (_term_schedule(net, a / m, word, walk)
                 for (a, word), walk in zip(report.spec.terms, report.walks))
     return Schedule(net.n, tuple(chain(*one_pass)), repeat=m)
 

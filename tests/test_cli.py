@@ -620,6 +620,53 @@ def test_malformed_primitive_is_a_parse_error(three_path, zzz_target, tmp_path, 
     assert _one_line_error(capsys).startswith("parse error: ")
 
 
+def test_unknown_primitive_kind_is_named(three_path, zzz_target, tmp_path, capsys):
+    schedule = tmp_path / "s.json"
+    assert main(["synth", three_path, zzz_target, "--epsilon", "0.05", "-o", str(schedule)]) == 0
+    data = json.loads(schedule.read_text())
+    data["primitives"][0]["kind"] = "warp"
+    schedule.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", three_path, zzz_target, "--epsilon", "0.05",
+                 "--schedule", str(schedule)]) == 2
+    assert _one_line_error(capsys) == "parse error: unknown primitive kind 'warp'\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["bound", "[1, 2]", "TARGET", "--epsilon", "0.05"], "network description must be a JSON object"),
+    (["bound", "NET", '{"coeff": 0.5, "pauli": "ZZZ"}', "--epsilon", "0.05"],
+     "generator JSON must be a list of terms"),
+    (["scan", "NET", "TARGET", "--times", "0.5,abc"], "cannot parse time list '0.5,abc'"),
+], ids=["network-list", "target-object", "scan-times"])
+def test_input_of_the_wrong_form_is_a_parse_error(three_path, zzz_target, tmp_path, capsys,
+                                                  argv, message):
+    paths = {"NET": three_path, "TARGET": zzz_target}
+    for k, arg in enumerate(argv):
+        if arg[0] in "[{":
+            paths[arg] = str(tmp_path / f"arg{k}.json")
+            Path(paths[arg]).write_text(arg)
+    assert main([paths.get(a, a) for a in argv]) == 2
+    assert message in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("command, mutate, message", [
+    ("bound", lambda d: d.update(control_model="foo"), "unknown control model 'foo'"),
+    ("bound", lambda d: d["edges"][1].update(i=0, j=5), "edge (0,5) outside 0..2"),
+    ("bound", lambda d: d["edges"][0].update(g=[[0, 0], [0, 1.0]]),
+     "edge (0,1) coupling tensor is not 3x3"),
+    ("grape", lambda d: d.update(omega=[[0.0] * 3] * 2), "omega must have shape (3, 3)"),
+], ids=["control-model", "edge-past-n", "two-by-two-tensor", "grape-omega-shape"])
+def test_network_outside_its_domain_exits_3(zzz_target, tmp_path, capsys, command, mutate,
+                                            message):
+    data = json.loads(json.dumps(THREE_PATH))
+    mutate(data)
+    net = tmp_path / "net.json"
+    net.write_text(json.dumps(data))
+    flags = {"bound": ["--epsilon", "0.05"], "grape": ["--time", "1.0", "--slices", "4"]}
+    assert main([command, str(net), zzz_target, *flags[command]]) == 3
+    assert message in _one_line_error(capsys)
+
+
 @pytest.mark.parametrize("net, word, message", [
     ({"preset": "star", "n": 3}, "IXI", "star_term_bound"),
     ({"preset": "ising_chain", "n": 3}, "IIIIIX", "word on 6 qubits does not match network of 3"),

@@ -37,6 +37,7 @@ from gatebound.synthesis import (
     TwoBodyEvolution,
     _build_ladder,
     load_schedule,
+    report_schedule,
     save_schedule,
     schedule_from_dict,
     schedule_to_dict,
@@ -146,6 +147,8 @@ class TestSelectTwoBody:
             for beta in "xyz":
                 for sign in (1, -1):
                     s = select_two_body(net, (0, 1), alpha, beta, sign, k)
+                    # the reversed edge names its axes the other way round
+                    assert select_two_body(net, (1, 0), beta, alpha, sign, k) == s
                     assert s.total_duration == pytest.approx(
                         k / edge_best_coupling(net, (0, 1))
                     )
@@ -220,10 +223,20 @@ class TestSynthPauliTerm:
         oracle = scipy.linalg.expm(1j * 1.3 * kron_word("XYI"))
         assert np.linalg.norm(U - oracle) < 1e-10
 
-    def test_zero_coefficient(self):
+    def test_zero_coefficient(self, monkeypatch):
+        import gatebound.bounds
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("searched a walk for a zero coefficient")
+
+        monkeypatch.setattr(gatebound.bounds, "depth_of_support", refuse)
         net = uniform_chain(3)
         s = synth_pauli_term(net, 0.0, parse_pauli("ZZZ"))
         assert s.primitives == ()
+        # a zero coefficient gets every input check all the same
+        for net, word in ((net, "III"), (net, "ZZ"), (star(4), "ZZZZ")):
+            with pytest.raises(DomainError):
+                synth_pauli_term(net, 0.0, parse_pauli(word))
 
     def test_random_terms_are_exact_and_within_bound(self):
         rng = np.random.default_rng(71)
@@ -320,6 +333,21 @@ class TestSynthGenerator:
         schedule, m = synth_generator(net, spec, 0.05)
         assert m == 1
         assert schedule == synth_pauli_term(net, 0.6, parse_pauli("ZZZ"))
+        # one path from a term to its schedule: the one-term exact report's pass
+        rng = np.random.default_rng(84)
+        for i in range(40):
+            n = int(rng.integers(2, 7))
+            net = random_connected_network(rng, n, extra_edges=int(rng.integers(0, 3)))
+            word = random_word(rng, n, min_weight=1 if i % 4 == 0 else 2)
+            a = float(rng.uniform(-2.0, 2.0))
+            report = bound_report(GeneratorSpec(((a, word),)), net, 0.05, use_exact_depths=True)
+            assert synth_pauli_term(net, a, word) == report_schedule(net, report)
+
+    def test_report_without_exact_depths_is_refused(self):
+        net = uniform_chain(3)
+        spec = GeneratorSpec(((0.6, parse_pauli("ZZZ")), (0.3, parse_pauli("XII"))))
+        with pytest.raises(DomainError, match="use_exact_depths=True"):
+            report_schedule(net, bound_report(spec, net, 0.05))
 
     def test_commuting_terms_are_exact(self):
         net = uniform_chain(3)
