@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .depth import DepthResult, depth_of_support, depth_upper_bound
-from .errors import DomainError, ParseError
+from .errors import DomainError, ParseError, require_positive
 from .network import (QubitNetwork, geodesic_distance, json_number, min_coupling, read_json,
                       require_full_local)
 from .pauli import PauliString, parse_pauli, symplectic_bits
@@ -111,16 +111,12 @@ def load_spec(path) -> GeneratorSpec:
 
 def single_term_bound(a: float, depth: int, J: float) -> float:
     """Time bound (depth*pi/2 + |a|)/J for one word of given depth."""
-    if J <= 0:
-        raise DomainError("J must be positive")
+    require_positive("J", J)
     if depth < 0:
         raise DomainError("depth must be >= 0")
+    if not math.isfinite(a):
+        raise DomainError(f"angle {a} is not finite")
     return (depth * math.pi / 2 + abs(a)) / J
-
-
-def _check_epsilon(epsilon: float) -> None:
-    if not (math.isfinite(epsilon) and epsilon > 0):
-        raise DomainError(f"epsilon must be finite and positive, got {epsilon}")
 
 
 def commutator_weight(spec: GeneratorSpec) -> float:
@@ -158,7 +154,7 @@ def _error_bound(K: float, m: int) -> float:
 
 
 def _steps_for(K: float, epsilon: float) -> int:
-    _check_epsilon(epsilon)
+    require_positive("epsilon", epsilon)
     e1 = _error_bound(K, 1)
     if e1 <= epsilon:
         return 1
@@ -292,13 +288,13 @@ def run_time_bound(spec: GeneratorSpec, net: QubitNetwork, epsilon: float,
 # named special cases
 
 def cnot_bound(net: QubitNetwork, i: int, j: int) -> float:
-    """CNOT time bound pi*((d(i,j)-1)/J + 1/(4J)), d the geodesic distance."""
+    """CNOT time bound pi*((d(i,j)-1)/J + 1/(4J)), d the geodesic distance:
+    the single-word bound at depth 2*(d-1) and angle pi/4."""
     require_full_local(net)
     if i == j:
         raise DomainError("CNOT needs two distinct qubits")
-    J = min_coupling(net)
     d = geodesic_distance(net, i, j)
-    return math.pi * ((d - 1) / J + 1 / (4 * J))
+    return single_term_bound(math.pi / 4, 2 * (d - 1), min_coupling(net))
 
 
 def two_qubit_bound(net: QubitNetwork, i: int, j: int) -> float:
@@ -309,22 +305,23 @@ def two_qubit_bound(net: QubitNetwork, i: int, j: int) -> float:
 def nbody_chain_bound(n: int, kappa: float, J_chain: float) -> float:
     """Bound (2*(n-2) + |kappa|) * pi / (4*J_chain) for the full-weight word
     exp(-i*(pi/4)*kappa * s_1...s_n) on any n-spin chain with smallest
-    coupling J_chain."""
+    coupling J_chain: the single-word bound at depth n-2 and angle kappa*pi/4."""
     if n < 3:
         raise DomainError("chain word bound needs n >= 3")
-    if J_chain <= 0:
-        raise DomainError("J_chain must be positive")
-    return (2 * (n - 2) + abs(kappa)) * math.pi / (4 * J_chain)
+    return single_term_bound(kappa * math.pi / 4, n - 2, J_chain)
 
 
 def exact_three_spin(kappa: float, J: float) -> float:
-    """Known minimum time sqrt(kappa*(4-kappa))/(2J) for
-    exp(-i*(pi/4)*kappa*ZZZ) on the 3-spin chain with drift (pi/2)*J*sum ZZ."""
+    """Known minimum time sqrt(k*(4-k))/(2J) for exp(-i*(pi/4)*kappa*ZZZ)
+    on the 3-spin chain with drift (pi/2)*J*sum ZZ, kappa in [0, 4].  Free
+    local rotations make kappa, kappa + 2 and -kappa the same gate up to
+    local factors, so kappa folds to k = min(kappa mod 2, 2 - kappa mod 2)
+    in [0, 1] first (kappa = 2 is the local gate -i*ZZZ, time 0)."""
     if not 0 <= kappa <= 4:
         raise DomainError("kappa must lie in [0, 4]")
-    if J <= 0:
-        raise DomainError("J must be positive")
-    return math.sqrt(kappa * (4 - kappa)) / (2 * J)
+    require_positive("J", J)
+    k = min(kappa % 2, 2 - kappa % 2)
+    return math.sqrt(k * (4 - k)) / (2 * J)
 
 
 def concatenation_bounds(
@@ -335,11 +332,10 @@ def concatenation_bounds(
     Returns (tau, T): tau = T_c*(4*(2n-1)+1) for a single word on the joint
     system, and T the product-formula bound for a full generator.
     """
-    if T_c <= 0:
-        raise DomainError("T_c must be positive")
+    require_positive("T_c", T_c)
     if n_per_block < 1:
         raise DomainError("blocks need at least one qubit")
-    _check_epsilon(epsilon)
+    require_positive("epsilon", epsilon)
     tau = T_c * (4 * (2 * n_per_block - 1) + 1)
     l = spec.l
     if l < 2:
@@ -351,12 +347,11 @@ def concatenation_bounds(
 
 def star_term_bound(n: int, J: float, a: float) -> float:
     """Single-word bound (pi/2*(12*(n-2)+1) + |a|)/J under the star graph's
-    reduced control set (x/y on the hub, z on each leaf)."""
+    reduced control set (x/y on the hub, z on each leaf): the single-word
+    bound at depth 12*(n-2)+1."""
     if n < 3:
         raise DomainError("star bound needs n >= 3")
-    if J <= 0:
-        raise DomainError("J must be positive")
-    return (math.pi / 2 * (12 * (n - 2) + 1) + abs(a)) / J
+    return single_term_bound(a, 12 * (n - 2) + 1, J)
 
 
 # ---------------------------------------------------------------------------
@@ -385,8 +380,8 @@ def poly_membership(spec: GeneratorSpec, degree_budget: float) -> PolyMembership
     n = spec.n
     if n < 2:
         raise DomainError("membership classification needs n >= 2")
-    if degree_budget < 0:
-        raise DomainError("degree budget must be >= 0")
+    if not (math.isfinite(degree_budget) and degree_budget >= 0):
+        raise DomainError(f"degree budget must be finite and >= 0, got {degree_budget}")
     l, ai = spec.l, spec.norm_inf
     cap = float(n) ** degree_budget
     member = l <= cap and ai <= cap

@@ -92,7 +92,7 @@ def cmd_depth(args) -> int:
         _write_json(payload, args.output)
         return EXIT_OK
     if args.pauli is None:
-        raise DomainError("give a Pauli word or --table")
+        raise ParseError("give a Pauli word or --table")
     word = parse_pauli(args.pauli)
     if word.weight == 1 and word.n == net.n:  # depth() refuses other sizes
         netmod.require_full_local(net)
@@ -134,7 +134,6 @@ def cmd_verify(args) -> int:
     duration = schedule.total_duration
     if not (math.isfinite(bound) and math.isfinite(duration)):
         raise DomainError("result is not finite; inputs too large")
-    U_target = sim.target_unitary(spec)
     # Several terms are eigendecomposed, so the target is off by up to about
     # 5e-16 * ||a||_1 (the worst seen against exact products of commuting
     # terms on 2 to 8 qubits, ||a||_1 from 1e3 to 1e14); one term is closed form.
@@ -142,6 +141,7 @@ def cmd_verify(args) -> int:
     if spec.l > 1 and not resolution <= args.epsilon + 1e-8:
         raise DomainError(f"the dense target is only good to about {resolution:.3g}, "
                           f"so it cannot resolve epsilon {args.epsilon}")
+    U_target = sim.target_unitary(spec)
     U = sim.unitary_of_schedule(net, schedule)
     # Rounding in U grows with the repeat count and moves the normalized error
     # by up to about a quarter of the unitarity defect.  The check below allows

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, ResourceLimitError, require_positive
 from .network import QubitNetwork, min_coupling
 from .pauli import single, to_matrix
 from .simulator import drift_matrix
@@ -53,7 +53,7 @@ class PulseSet:
     restart_index: int = 0
 
     def __post_init__(self):
-        _check_time(self.T)
+        require_positive("T", self.T)
         if self.N < 1:
             raise DomainError("need N >= 1")
         amps = np.array(self.amplitudes, dtype=float)
@@ -78,11 +78,6 @@ def control_operators(net: QubitNetwork) -> list[np.ndarray]:
     else:  # star_reduced: hub is qubit 0
         terms = [(0, "x"), (0, "y")] + [(q, "z") for q in range(1, net.n)]
     return [to_matrix(single(net.n, q, a)) for q, a in terms]
-
-
-def _check_time(T) -> None:
-    if not (math.isfinite(T) and T > 0):
-        raise DomainError(f"T must be finite and positive, got {T}")
 
 
 def _operators(net: QubitNetwork, N: int, C: int | None = None, U_target=None):
@@ -200,11 +195,10 @@ def optimize(
     remaining restarts are skipped after a success.  Non-convergence is a
     reported outcome, not an error.
     """
-    _check_time(T)
+    require_positive("T", T)
     if N < 1 or restarts < 1 or max_iters < 1 or seed < 0:
         raise DomainError("need N, restarts and max_iters >= 1 and seed >= 0")
-    if not (math.isfinite(tol) and tol > 0):
-        raise DomainError(f"tol must be finite and positive, got {tol}")
+    require_positive("tol", tol)
     H0, Hk = _operators(net, N, U_target=U_target)
     C, dt = len(Hk), T / N
     span = INIT_SCALE * min_coupling(net)
@@ -249,7 +243,7 @@ def optimize(
 def time_scan(net: QubitNetwork, U_target: np.ndarray, T_list, **kwargs) -> list[PulseSet]:
     """The best pulse set of one optimize run per duration, all checked before the first."""
     for T in T_list:
-        _check_time(T)
+        require_positive("T", T)
     return [optimize(net, U_target, T, **kwargs) for T in T_list]
 
 

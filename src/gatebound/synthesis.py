@@ -108,7 +108,9 @@ def check_schedule(net: QubitNetwork, schedule: Schedule) -> None:
     """Refuse a schedule the network cannot run: one on another qubit count
     (``DimensionError``), or a primitive that is neither a rotation about a
     unit 3-vector axis on one of its qubits nor an evolution on a strongest
-    coupling of one of its edges with the sign the drift gives (``DomainError``)."""
+    coupling of one of its edges, on that entry's axes (alpha on the smaller
+    qubit once the edge is read as (min, max)) and with the sign the drift
+    gives (``DomainError``)."""
     if schedule.n != net.n:
         raise DimensionError(
             f"schedule on {schedule.n} qubits does not match network of {net.n}"
@@ -122,15 +124,18 @@ def check_schedule(net: QubitNetwork, schedule: Schedule) -> None:
                 raise DomainError(f"qubit {prim.qubit} outside 0..{net.n - 1}")
         elif isinstance(prim, TwoBodyEvolution):
             strongest = strongest_couplings(net, prim.edge)  # raises on unknown edges
-            g_used = prim.g_used
+            g_used, (u, v) = prim.g_used, prim.edge
+            axes = (prim.alpha, prim.beta) if u < v else (prim.beta, prim.alpha)
             # the drift term g*s_a s_b only ever runs as exp(-i*t*g*s_a s_b)
             if (not (math.isfinite(g_used) and any(
-                    abs(g - g_used) <= 1e-9 * abs(g_used) for _, _, g in strongest))
+                    (a, b) == axes and abs(g - g_used) <= 1e-9 * abs(g_used)
+                    for a, b, g in strongest))
                     or prim.sign != (-1 if g_used > 0 else 1)):
                 raise DomainError(
-                    f"evolution claims sign {prim.sign:+d} on coupling {g_used} "
-                    f"of edge {prim.edge}, but the drift runs its strongest "
-                    f"entries, +-{abs(strongest[0][2])}, with sign -sgn(g) only")
+                    f"evolution {prim.alpha}{prim.beta} claims sign {prim.sign:+d} on "
+                    f"coupling {g_used} of edge {prim.edge}, but the drift runs its "
+                    f"strongest entries, +-{abs(strongest[0][2])}, on their own axes "
+                    f"with sign -sgn(g) only")
         else:
             raise DomainError(f"unknown primitive {prim!r}")
 

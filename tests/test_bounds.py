@@ -32,6 +32,7 @@ from gatebound import bounds
 from gatebound.bounds import spec_from_list
 from gatebound.cli import main
 from gatebound.errors import DomainError
+from gatebound.grape import PulseSet, optimize, time_scan
 from gatebound.network import ising_chain, star
 from gatebound.pauli import parse_pauli
 
@@ -436,17 +437,22 @@ class TestNamedBounds:
     def test_exact_three_spin(self):
         assert exact_three_spin(1, 1) == pytest.approx(math.sqrt(3) / 2)
         assert exact_three_spin(0, 1) == 0.0
-        assert exact_three_spin(2, 1) == pytest.approx(1.0)
+        # kappa = 2 is the local gate -i*ZZZ, and kappa ~ kappa + 2 ~ -kappa
+        assert exact_three_spin(2, 1) == 0.0
+        assert exact_three_spin(1.5, 1) == exact_three_spin(0.5, 1) == pytest.approx(
+            math.sqrt(7) / 4)
         with pytest.raises(DomainError):
             exact_three_spin(4.5, 1)
 
     def test_bound_to_exact_ratio(self):
         # same physical chain: the bound takes the drift coupling pi/2 * J,
         # the exact result is stated in terms of J itself
-        for kappa in (0.5, 1.0, 2.0, 3.0):
+        for kappa in (0.5, 1.0, 3.0):
             for J in (0.5, 1.0, 2.0):
                 ratio = nbody_chain_bound(3, kappa, math.pi / 2 * J) / exact_three_spin(kappa, J)
                 assert ratio == pytest.approx((2 + kappa) / math.sqrt(kappa * (4 - kappa)))
+        for J in (0.5, 1.0, 2.0):  # kappa = 2 is local: the minimum is 0
+            assert exact_three_spin(2.0, J) == 0.0
         assert nbody_chain_bound(3, 1, math.pi / 2) / exact_three_spin(1, 1) == pytest.approx(
             math.sqrt(3)
         )
@@ -500,3 +506,33 @@ class TestPolyMembership:
         assert not rep.member
         assert rep.scaling_class == "exponential"
         assert rep.scaling_exponent is None
+
+
+_NET2, _EYE4 = ising_chain(2), np.eye(4)
+_POSITIVE_PARAMETERS = {
+    "single_term_bound-J": lambda v: single_term_bound(0.5, 1, v),
+    "single_term_bound-a": lambda v: single_term_bound(v, 1, 1.0),
+    "nbody_chain_bound-kappa": lambda v: nbody_chain_bound(4, v, 1.0),
+    "nbody_chain_bound-J_chain": lambda v: nbody_chain_bound(4, 1.0, v),
+    "exact_three_spin-J": lambda v: exact_three_spin(1.0, v),
+    "concatenation_bounds-T_c": lambda v: concatenation_bounds(v, 2, XY_SPEC, 0.1),
+    "concatenation_bounds-epsilon": lambda v: concatenation_bounds(1.0, 2, XY_SPEC, v),
+    "star_term_bound-J": lambda v: star_term_bound(4, v, 0.5),
+    "star_term_bound-a": lambda v: star_term_bound(4, 1.0, v),
+    "poly_membership-degree_budget": lambda v: poly_membership(XY_SPEC, v),
+    "optimize-T": lambda v: optimize(_NET2, _EYE4, v),
+    "optimize-tol": lambda v: optimize(_NET2, _EYE4, 1.0, tol=v),
+    "PulseSet-T": lambda v: PulseSet(T=v, N=1, amplitudes=np.zeros((1, 4)),
+                                     achieved_infidelity=1.0, iterations=0, seed=None),
+    "time_scan-T": lambda v: time_scan(_NET2, _EYE4, [1.0, v]),
+    "time_scan-tol": lambda v: time_scan(_NET2, _EYE4, [1.0], tol=v),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", sorted(_POSITIVE_PARAMETERS))
+def test_non_finite_parameters_are_a_domain_error(name, value):
+    # a NaN or infinite parameter would turn a bound into NaN or 0.0, or a
+    # degree budget into "exponential" or "member"; each is refused instead
+    with pytest.raises(DomainError):
+        _POSITIVE_PARAMETERS[name](value)

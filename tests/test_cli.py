@@ -444,9 +444,51 @@ def test_verify_gives_no_verdict_past_the_dense_target_resolution(tmp_path, caps
     assert json.loads(capsys.readouterr().out)["pass"] is True
 
 
+def test_verify_checks_the_resolution_before_building_the_target(tmp_path, capsys,
+                                                                 monkeypatch):
+    import gatebound.simulator as sim
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a dense target that cannot resolve epsilon")
+
+    monkeypatch.setattr(sim, "target_unitary", refuse)
+    net, target = tmp_path / "net.json", tmp_path / "target.json"
+    net.write_text(json.dumps({"preset": "ising_chain", "n": 6, "J": 1e308}))
+    target.write_text(json.dumps([{"coeff": 1e300, "pauli": "IZIZXX"},
+                                  {"coeff": 0.5, "pauli": "XYXYIX"}]))
+    assert main(["verify", str(net), str(target), "--epsilon", "0.05"]) == 3
+    assert _one_line_error(capsys).startswith("domain error: the dense target")
+
+
 def test_depth_word_and_table_together_is_a_parse_error(three_path, capsys):
     assert main(["depth", three_path, "ZZZ", "--table"]) == 2
     assert _one_line_error(capsys).startswith("parse error: ")
+
+
+def test_depth_with_neither_word_nor_table_is_a_parse_error(three_path, capsys):
+    assert main(["depth", three_path]) == 2
+    assert _one_line_error(capsys) == "parse error: give a Pauli word or --table\n"
+
+
+ZZ_EDGE = [[0, 0, 0], [0, 0, 0], [0, 0, 1.0]]
+XX_MINUS_YY_EDGE = [[1.0, 0, 0], [0, -1.0, 0], [0, 0, 0]]
+
+
+@pytest.mark.parametrize("g, coeff, sign, g_used", [
+    (ZZ_EDGE, -0.5, "-", 1.0),           # the edge couples ZZ only
+    (XX_MINUS_YY_EDGE, 0.5, "+", -1.0),  # g_used and sign borrowed from YY
+], ids=["zz-edge", "yy-coupling"])
+def test_verify_refuses_an_evolution_off_its_coupling_axes(tmp_path, capsys, g, coeff,
+                                                           sign, g_used):
+    net, target, sched = (tmp_path / name for name in ("net.json", "t.json", "s.json"))
+    net.write_text(json.dumps({"n": 2, "edges": [{"i": 0, "j": 1, "g": g}]}))
+    target.write_text(json.dumps([{"coeff": coeff, "pauli": "XX"}]))
+    sched.write_text(json.dumps({"n": 2, "primitives": [
+        {"kind": "two_body", "edge": [0, 1], "alpha": "x", "beta": "x", "sign": sign,
+         "angle": 0.5, "g_used": g_used}]}))
+    argv = ["verify", str(net), str(target), "--epsilon", "0.05", "--schedule", str(sched)]
+    assert main(argv) == 3
+    assert _one_line_error(capsys).startswith("domain error: evolution xx ")
 
 
 @pytest.mark.parametrize("command", ["bound", "verify"])

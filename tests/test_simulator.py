@@ -18,6 +18,7 @@ from gatebound import (
     unitary_of_schedule,
 )
 from gatebound.errors import DimensionError, DomainError, ResourceLimitError
+from gatebound.network import AXES
 from gatebound.pauli import parse_pauli, to_matrix
 from gatebound.simulator import drift_matrix, expi_hermitian, unitarity_defect
 from gatebound.synthesis import LocalRotation, Schedule, TwoBodyEvolution
@@ -157,23 +158,27 @@ class TestScheduleUnitary:
                                    np.array([[0.0, 0.2, 0.0], [0.0, 0.0, -0.75], [0.0] * 3])],
                              ids=["xx+yy", "diag-tie", "single"])
     def test_accepts_g_used_as_np_isclose_does(self, g):
-        # the drift runs g_used iff it lies within 1e-9 relative of a
-        # strongest entry (np.isclose with rtol=1e-9, atol=0, which refuses
-        # infinities) and the sign is -sgn(g_used)
+        # the drift runs an evolution on axes (a, b) iff g[a, b] is a
+        # strongest entry, g_used lies within 1e-9 relative of it (np.isclose
+        # with rtol=1e-9, atol=0, which refuses infinities) and the sign is
+        # -sgn(g_used); on the reversed edge (1, 0) the axes read as (b, a)
         net = QubitNetwork(n=2, edges={(0, 1): g})
         best = float(np.max(np.abs(g)))
-        strongest = g[np.abs(g) == best]
         values = [sgn * best * (1 + d) for sgn in (1, -1)
                   for d in (0.0, 5e-10, -5e-10, 2e-9, -2e-9)]
-        for g_used in values + [math.inf, -math.inf, math.nan]:
-            close = bool(np.isclose(strongest, g_used, rtol=1e-9, atol=0.0).any())
-            for sign in (1, -1):
-                schedule = Schedule(2, (TwoBodyEvolution((0, 1), "z", "x", sign, 0.3, g_used),))
-                if close and sign == (-1 if g_used > 0 else 1):
-                    unitary_of_schedule(net, schedule)
-                else:
-                    with pytest.raises(DomainError):
-                        unitary_of_schedule(net, schedule)
+        for (a, b), entry in np.ndenumerate(g):
+            for g_used in values + [math.inf, -math.inf, math.nan]:
+                runs = abs(entry) == best and bool(np.isclose(entry, g_used, rtol=1e-9, atol=0.0))
+                for sign in (1, -1):
+                    for edge, axes in (((0, 1), (a, b)), ((1, 0), (b, a))):
+                        alpha, beta = (AXES[k] for k in axes)
+                        schedule = Schedule(2, (TwoBodyEvolution(edge, alpha, beta, sign,
+                                                                 0.3, g_used),))
+                        if runs and sign == (-1 if g_used > 0 else 1):
+                            unitary_of_schedule(net, schedule)
+                        else:
+                            with pytest.raises(DomainError):
+                                unitary_of_schedule(net, schedule)
 
     def test_rejects_unrealizable_coupling(self):
         net = uniform_chain(2, g=1.0)
@@ -197,38 +202,41 @@ class TestScheduleUnitary:
 
 
 def _signed_network(rng, n):
-    """Random connected network whose every edge carries its strongest
-    coupling 2.0 with both signs, on two random axis pairs."""
-    net = random_connected_network(rng, n, extra_edges=1,
-                                   entries_per_edge=int(rng.integers(1, 4)))
-    edges = {}
-    for edge, g in net.edges.items():
-        g = g.copy()
-        plus, minus = rng.choice(9, size=2, replace=False)
-        g.flat[plus], g.flat[minus] = 2.0, -2.0
-        edges[edge] = g
-    return QubitNetwork(n=n, edges=edges)
+    """Random connected graph whose every edge couples all nine axis pairs
+    with magnitude 2.0, signed by one random symmetric matrix S on the first
+    sorted edge, -S on the second, and so on alternately.  S is symmetric, so
+    every evolution also runs on its edge reversed; from n = 3 on, every axis
+    pair runs with both signs on some edge."""
+    net = random_connected_network(rng, n, extra_edges=1)
+    S = np.triu(rng.choice([-1.0, 1.0], size=(3, 3)))
+    S += np.triu(S, 1).T
+    return QubitNetwork(n=n, edges={edge: 2.0 * (-1) ** k * S
+                                    for k, edge in enumerate(net.sorted_edges())})
 
 
 def _random_schedule(rng, net):
-    """Every two-body axis pair with both signs once, in random order, on
-    random edges and orientations, each after a random local rotation.
-    Each evolution runs on a strongest native coupling with the sign its
-    drift gives."""
+    """Every two-body axis pair with each sign some edge's drift gives, once,
+    in random order, on a random such edge in a random orientation, each
+    after a random local rotation.  g_used is the entry on the evolution's
+    axes and the sign is -sgn(g_used), so the network can run every one."""
     edges = net.sorted_edges()
-    pairs = [(a, b, s) for a in "xyz" for b in "xyz" for s in (1, -1)]
+    pairs = [(a, b, s) for a in range(3) for b in range(3) for s in (1, -1)]
     prims = []
     for k in rng.permutation(len(pairs)):
-        alpha, beta, sign = pairs[k]
+        a, b, sign = pairs[k]
+        runs = [e for e in edges if net.edge_tensor(e)[a, b] * sign < 0]
+        if not runs:  # a single edge drives each axis pair with one sign
+            continue
         axis = rng.normal(size=3)
         axis /= np.linalg.norm(axis)
         prims.append(LocalRotation(int(rng.integers(net.n)), tuple(axis),
                                    float(rng.uniform(-3, 3))))
-        u, v = edges[int(rng.integers(len(edges)))]
+        u, v = runs[int(rng.integers(len(runs)))]
         if rng.random() < 0.5:
             u, v = v, u
-        g_used = -sign * float(np.max(np.abs(net.edge_tensor((u, v)))))
-        prims.append(TwoBodyEvolution((u, v), alpha, beta, sign,
+        # alpha sits on edge[0] and the tensor's rows on the smaller qubit
+        g_used = float(net.edge_tensor((u, v))[(a, b) if u < v else (b, a)])
+        prims.append(TwoBodyEvolution((u, v), AXES[a], AXES[b], sign,
                                       float(rng.uniform(0, 3)), g_used))
     return tuple(prims)
 
