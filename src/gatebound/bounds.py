@@ -27,8 +27,7 @@ import numpy as np
 
 from .depth import DepthResult, depth_of_support, depth_upper_bound
 from .errors import DomainError, ParseError, require_positive
-from .network import (QubitNetwork, geodesic_distance, json_number, min_coupling, read_json,
-                      require_full_local)
+from .network import QubitNetwork, json_number, min_coupling, read_json, require_full_local
 from .pauli import PauliString, parse_pauli, symplectic_bits
 
 _PAIR_BLOCK = 8192  # pair entries per block of commutator_weight
@@ -289,12 +288,12 @@ def run_time_bound(spec: GeneratorSpec, net: QubitNetwork, epsilon: float,
 
 def cnot_bound(net: QubitNetwork, i: int, j: int) -> float:
     """CNOT time bound pi*((d(i,j)-1)/J + 1/(4J)), d the geodesic distance:
-    the single-word bound at depth 2*(d-1) and angle pi/4."""
+    the single-word bound at angle pi/4 and the depth 2*(d-1) of {i, j}."""
     require_full_local(net)
     if i == j:
         raise DomainError("CNOT needs two distinct qubits")
-    d = geodesic_distance(net, i, j)
-    return single_term_bound(math.pi / 4, 2 * (d - 1), min_coupling(net))
+    depth = depth_of_support(net, (i, j)).depth
+    return single_term_bound(math.pi / 4, depth, min_coupling(net))
 
 
 def two_qubit_bound(net: QubitNetwork, i: int, j: int) -> float:

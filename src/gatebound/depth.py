@@ -21,11 +21,12 @@ connected vertex set U that contains S.
   every component of the support (the vertex of U \\ S farthest from S
   always qualifies).
 
-U is S itself when the induced subgraph G[S] is connected; on a tree it is
-what remains after pruning leaves outside S, in O(n); otherwise the
-Dreyfus-Wagner program (Networks 1:195-207, 1971) finds it over
-shortest-path distances, in time exponential in the number of components
-of G[S], not in n.
+U is S itself when the induced subgraph G[S] is connected, and S plus a
+shortest path found by one BFS when G[S] has two components.  Otherwise, on
+a tree it is what remains after pruning leaves outside S, in O(n); on other
+graphs the Dreyfus-Wagner program (Networks 1:195-207, 1971) finds it over
+shortest-path distances of the leaf-pruned graph, in time exponential in
+the number of components of G[S], not in n.
 
 Witness rule: steps compare as (kind, edge, vertex) tuples with "grow" <
 "shrink", and the witness is the smallest shortest walk ranked by (first
@@ -36,7 +37,8 @@ first) and then shrinks greedily (smallest step that keeps a vertex of S in
 every component).  When U is unique -- on every tree, and whenever G[S] is
 connected -- this is the smallest shortest walk overall.  When several
 minimal Steiner sets exist, U is the one the Dreyfus-Wagner recursion
-reconstructs, taking the first minimizer in node order at every choice.
+reconstructs, taking the first minimizer in node order at every choice;
+for two components that is the path the BFS walks back.
 
 Every weight >= 2 word on a connected n-qubit graph has depth at most
 2*(n-2): grow to full support along a spanning tree, then shrink.
@@ -53,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ResourceLimitError
-from .network import QubitNetwork, canonical_edge, require_full_local
+from .network import QubitNetwork, canonical_edge, components, distances, require_full_local
 from .pauli import PauliString
 
 MAX_TABLE_QUBITS = 20
@@ -90,26 +92,9 @@ def depth_upper_bound(n: int) -> int:
     return max(0, 2 * (n - 2))
 
 
-def _components(adj, vertices) -> list[set[int]]:
-    """Connected components of the induced subgraph, in order of least vertex."""
-    comps, seen = [], set()
-    for s in sorted(vertices):
-        if s in seen:
-            continue
-        seen.add(s)
-        comp, stack = {s}, [s]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w in vertices and w not in seen:
-                    seen.add(w)
-                    comp.add(w)
-                    stack.append(w)
-        comps.append(comp)
-    return comps
-
-
-def _prune_tree(adj, terminals) -> set[int]:
-    """Minimal Steiner set on a tree: strip leaves outside the terminals."""
+def _prune_leaves(adj, terminals) -> set[int]:
+    """Strip leaves outside the terminals until none is left: on a tree, the minimal
+    Steiner set; stripped vertices lie on no shortest path between kept ones."""
     degree = [len(nbrs) for nbrs in adj]
     keep = set(range(len(adj)))
     leaves = [v for v in keep if degree[v] == 1 and v not in terminals]
@@ -124,8 +109,21 @@ def _prune_tree(adj, terminals) -> set[int]:
     return keep
 
 
+def _join_two(adj, comps) -> set[int]:
+    """Inner vertices of the path Dreyfus-Wagner's ``path`` would take: a BFS from the
+    first component, walked back from the second to the least vertex one step nearer."""
+    dist = distances(adj, comps[0], range(len(adj)))
+    d = min(dist[x] for x in comps[1])
+    v = min(w for x in comps[1] for w in adj[x] if dist[w] == d - 1)
+    joined = set()
+    while dist[v]:
+        joined.add(v)
+        v = min(w for w in adj[v] if dist[w] == dist[v] - 1)
+    return joined
+
+
 def _dreyfus_wagner(adj, comps) -> set[int]:
-    """Fewest vertices outside the components that join them all.
+    """Fewest vertices outside the components that join them all in ``adj``, a dict.
 
     Each component of G[S] is contracted to one terminal node (nodes
     0..c-1); the other vertices follow in increasing order.  With unit
@@ -142,12 +140,12 @@ def _dreyfus_wagner(adj, comps) -> set[int]:
     for i, comp in enumerate(comps):
         for v in comp:
             node[v] = i
-    inner = [v for v in range(len(adj)) if v not in node]
+    inner = [v for v in adj if v not in node]
     for i, v in enumerate(inner):
         node[v] = c + i
     N = c + len(inner)
     nbrs = [set() for _ in range(N)]
-    for u, ws in enumerate(adj):
+    for u, ws in adj.items():
         for w in ws:
             if node[u] != node[w]:
                 nbrs[node[u]].add(node[w])
@@ -210,12 +208,16 @@ def _dreyfus_wagner(adj, comps) -> set[int]:
 
 
 def _steiner_set(net: QubitNetwork, adj, terminals: frozenset) -> set[int]:
-    comps = _components(adj, terminals)
+    comps = components(adj, terminals)
     if len(comps) == 1:
         return set(terminals)
+    if len(comps) == 2:
+        return set(terminals) | _join_two(adj, comps)
+    keep = _prune_leaves(adj, terminals)
     if len(net.edges) == net.n - 1:
-        return _prune_tree(adj, terminals)
-    return set(terminals) | _dreyfus_wagner(adj, comps)
+        return keep
+    pruned = {v: [w for w in adj[v] if w in keep] for v in sorted(keep)}
+    return set(terminals) | _dreyfus_wagner(pruned, comps)
 
 
 def _smallest_walk(adj, edges, U: set[int], terminals: frozenset):
@@ -247,22 +249,27 @@ def _smallest_walk(adj, edges, U: set[int], terminals: frozenset):
         edge, y = next(
             (e, y) for e in edges if e[0] in support and e[1] in support
             for y in e if y not in terminals and all(
-                comp & terminals for comp in _components(adj, support - {y})))
+                comp & terminals for comp in components(adj, support - {y})))
         support.remove(y)
         steps.append(DepthStep(SHRINK, edge, y))
     return start, steps
 
 
+def _check_support(n: int, support) -> frozenset:
+    """The qubits of a support: two or more, each in 0..n-1 (checked in the order given)."""
+    qubits = tuple(support)
+    for q in qubits:
+        if not 0 <= q < n:
+            raise DomainError(f"qubit {q} outside 0..{n - 1}")
+    if len(set(qubits)) < 2:
+        raise DomainError("depth is defined for supports of two or more qubits")
+    return frozenset(qubits)
+
+
 def depth_of_support(net: QubitNetwork, support) -> DepthResult:
     """Exact depth of a support set (>= 2 vertices) with a shortest witness."""
     require_full_local(net)
-    vertices = sorted(set(support))
-    if len(vertices) < 2:
-        raise DomainError("depth is defined for supports of two or more qubits")
-    for q in vertices:
-        if not 0 <= q < net.n:
-            raise DomainError(f"qubit {q} outside 0..{net.n - 1}")
-    terminals = frozenset(vertices)
+    terminals = _check_support(net.n, support)
     adj = [net.neighbors(v) for v in range(net.n)]
     U = _steiner_set(net, adj, terminals)
     start, steps = _smallest_walk(adj, net.sorted_edges(), U, terminals)
@@ -293,13 +300,7 @@ class DepthTable:
     _depths: np.ndarray  # read-only, indexed by support bitmask
 
     def support_depth(self, support) -> int:
-        mask = 0
-        for q in support:
-            if not 0 <= q < self.n:
-                raise DomainError(f"qubit {q} outside 0..{self.n - 1}")
-            mask |= 1 << q
-        if mask.bit_count() < 2:
-            raise DomainError("depth is defined for supports of two or more qubits")
+        mask = sum(1 << q for q in _check_support(self.n, support))
         return int(self._depths[mask])
 
 

@@ -34,17 +34,27 @@ def canonical_edge(i: int, j: int) -> tuple[int, int]:
     return (i, j) if i < j else (j, i)
 
 
-def _distances(adjacency, source: int) -> dict[int, int]:
-    """Fewest edges from ``source`` to each vertex it reaches (BFS)."""
-    dist = {source: 0}
-    queue = deque([source])
+def distances(adjacency, sources, within) -> dict[int, int]:
+    """Fewest edges from the nearest source to each vertex, by a BFS inside ``within``."""
+    dist = dict.fromkeys(sources, 0)
+    queue = deque(dist)
     while queue:
         u = queue.popleft()
         for v in adjacency[u]:
-            if v not in dist:
+            if v in within and v not in dist:
                 dist[v] = dist[u] + 1
                 queue.append(v)
     return dist
+
+
+def components(adjacency, vertices) -> list[set[int]]:
+    """Connected components of the induced subgraph, in order of least vertex."""
+    comps, seen = [], set()
+    for s in sorted(vertices):
+        if s not in seen:
+            comps.append(set(distances(adjacency, (s,), vertices)))
+            seen |= comps[-1]
+    return comps
 
 
 @dataclass(frozen=True)
@@ -83,6 +93,8 @@ class QubitNetwork:
             edges[key] = tensor
         if not edges:
             raise DomainError("a network needs at least one edge")
+        if len(edges) < self.n - 1:  # refused before n sizes anything
+            raise DomainError("the coupling graph must be connected")
         object.__setattr__(self, "edges", edges)
 
         omega = self.omega
@@ -101,7 +113,7 @@ class QubitNetwork:
             adjacency[j].append(i)
         adjacency = {i: tuple(sorted(nbrs)) for i, nbrs in adjacency.items()}
         object.__setattr__(self, "_adjacency", adjacency)
-        if len(_distances(adjacency, 0)) < self.n:
+        if len(components(adjacency, range(self.n))) > 1:
             raise DomainError("the coupling graph must be connected")
 
     def neighbors(self, i: int) -> tuple[int, ...]:
@@ -154,14 +166,6 @@ def require_full_local(net: QubitNetwork) -> None:
         raise DomainError(
             f"the {net.control_model} control model has no full_local depth, "
             "schedule or bound; the star graph's bound is star_term_bound")
-
-
-def geodesic_distance(net: QubitNetwork, i: int, j: int) -> int:
-    """Fewest edges on a path from i to j (0 iff i == j)."""
-    for v in (i, j):
-        if not 0 <= v < net.n:
-            raise DomainError(f"qubit {v} outside 0..{net.n - 1}")
-    return _distances(net._adjacency, i)[j]
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +232,7 @@ def network_from_dict(data: dict) -> QubitNetwork:
         raise ParseError("network description must be a JSON object")
     if "preset" in data:
         kind = data["preset"]
-        if kind not in _PRESETS:
+        if not isinstance(kind, str) or kind not in _PRESETS:
             raise ParseError(f"unknown preset {kind!r}")
         try:
             n, J = json_int(data["n"]), json_number(data.get("J", 1.0))
@@ -237,7 +241,7 @@ def network_from_dict(data: dict) -> QubitNetwork:
         return _PRESETS[kind](n, J)
     try:
         n = json_int(data["n"])
-        raw_edges = data["edges"]
+        raw_edges = list(data["edges"])
         omega = None if data.get("omega") is None else _json_floats(data["omega"])
     except (KeyError, TypeError, ValueError):
         raise ParseError("network JSON needs integer 'n', 'edges', numeric 'omega'") from None

@@ -104,7 +104,9 @@ def two_body(n: int, i: int, alpha: str, j: int, beta: str) -> PauliString:
 
 def parse_pauli(text: str) -> PauliString:
     """Parse a word over IXYZ, qubit 0 leftmost, phase 0."""
-    if not isinstance(text, str) or len(text) == 0:
+    if not isinstance(text, str):
+        raise ParseError("a Pauli word must be a string")
+    if not text:
         raise ParseError("empty Pauli word (need at least one qubit)")
     rest = text.lstrip("IXYZ")
     if rest:

@@ -164,7 +164,7 @@ def schedule_from_dict(data: dict) -> Schedule:
     """Schedule from its JSON form; a missing ``"repeat"`` means one run."""
     try:
         n = json_int(data["n"])
-        raw = data["primitives"]
+        raw = list(data["primitives"])
         repeat = data.get("repeat", 1)
     except (AttributeError, KeyError, TypeError, ValueError):
         raise ParseError("schedule JSON needs an integer 'n' and 'primitives'") from None

@@ -31,6 +31,7 @@ from gatebound import (
 from gatebound import bounds
 from gatebound.bounds import spec_from_list
 from gatebound.cli import main
+from gatebound.depth import max_depth_table
 from gatebound.errors import DomainError
 from gatebound.grape import PulseSet, optimize, time_scan
 from gatebound.network import ising_chain, star
@@ -39,6 +40,7 @@ from gatebound.pauli import parse_pauli
 from helpers import (
     all_strings,
     commutator_weight_oracle,
+    grid_graph,
     kron_word,
     random_connected_network,
     random_spec,
@@ -415,6 +417,30 @@ class TestNamedBounds:
             assert two_qubit_bound(net, i, j) == pytest.approx(3 * cnot_bound(net, i, j))
         with pytest.raises(DomainError):
             cnot_bound(net, 2, 2)
+
+    def test_cnot_bound_is_the_single_word_bound_at_the_table_depth(self):
+        # the subset table is a depth engine that shares no search with cnot_bound
+        rng = np.random.default_rng(17)
+        for trial in range(40):
+            n = int(rng.integers(2, 11))
+            extra = int(rng.integers(1, 4)) if trial % 2 else 0  # trees, then not
+            net = random_connected_network(rng, n, extra_edges=extra)
+            table, J = max_depth_table(net), min_coupling(net)
+            for i in range(n):
+                for j in range(n):
+                    if i != j:
+                        depth = table.support_depth((i, j))
+                        assert cnot_bound(net, i, j) == single_term_bound(math.pi / 4, depth, J)
+
+    def test_cnot_bound_on_grid_corners_is_fast(self):
+        net = grid_graph(45, 45)
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            bound = cnot_bound(net, 0, 2024)
+            times.append(time.perf_counter() - start)
+        assert min(times) < 0.1
+        assert bound == single_term_bound(math.pi / 4, 2 * (88 - 1), min_coupling(net))
 
     def test_reduced_control_networks_are_refused(self):
         # the full-local formulas do not hold for the star's reduced controls

@@ -1,5 +1,7 @@
 """Steiner-tree depth against the subset-search and string-level oracles."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -239,6 +241,22 @@ def test_grid_corners_need_an_h_shaped_tree():
     res = depth_of_support(net, (0, 9, 90, 99))
     assert res.depth == 50
     assert replay_witness(res.start_edge, res.witness) == {0, 9, 90, 99}
+
+
+def test_supports_on_thousands_of_qubits_take_a_breadth_first_search():
+    # a spanning tree plus 5 chords on 2,000 qubits, and a 45x45 grid; these
+    # supports once took seconds to minutes in an all-pairs distance pass
+    sparse = random_connected_network(np.random.default_rng(2000), 2000, extra_edges=5)
+    grid = grid_graph(45, 45)
+    for net, support in ((sparse, (0, 1999)), (sparse, (0, 1000, 1999)), (grid, (0, 2024))):
+        start = time.perf_counter()
+        res = depth_of_support(net, support)
+        assert time.perf_counter() - start < 1.0, support
+        # a BFS tree's span is a shortest path for two terminals, else an upper bound
+        spanned = 2 * len(_tree_span(net, support)) - len(support) - 2
+        assert res.depth == spanned if len(support) == 2 else res.depth <= spanned
+        assert replay_witness(res.start_edge, res.witness) == frozenset(support)
+    assert res.depth == 2 * (88 - 1)  # the grid corners are 88 edges apart
 
 
 def test_too_many_support_components_is_a_resource_error():

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ import pytest
 from gatebound import (
     QubitNetwork,
     edge_best_coupling,
-    geodesic_distance,
     heisenberg_chain,
     ising_chain,
     min_coupling,
@@ -17,6 +17,7 @@ from gatebound import (
 )
 from gatebound.errors import DomainError, ParseError
 from gatebound.network import (
+    distances,
     dump_json,
     load_network,
     network_from_dict,
@@ -68,13 +69,18 @@ def test_heisenberg_preset_edge_entries():
     assert edge_best_coupling(net, (1, 2)) == pytest.approx(math.pi / 2)
 
 
+def _geodesic(net, i, j):
+    adj = [net.neighbors(v) for v in range(net.n)]
+    return distances(adj, (i,), range(net.n))[j]
+
+
 def test_geodesic_distance():
     net = uniform_chain(3)
-    assert geodesic_distance(net, 0, 2) == 2
-    assert geodesic_distance(net, 1, 1) == 0
+    assert _geodesic(net, 0, 2) == 2
+    assert _geodesic(net, 1, 1) == 0
     st = star(5, J=1.0)
-    assert geodesic_distance(st, 0, 3) == 1
-    assert geodesic_distance(st, 2, 4) == 2
+    assert _geodesic(st, 0, 3) == 1
+    assert _geodesic(st, 2, 4) == 2
 
 
 def test_geodesic_is_a_metric_on_random_graphs():
@@ -82,13 +88,26 @@ def test_geodesic_is_a_metric_on_random_graphs():
     for _ in range(10):
         n = int(rng.integers(3, 9))
         net = random_connected_network(rng, n, extra_edges=int(rng.integers(0, 3)))
-        d = [[geodesic_distance(net, i, j) for j in range(n)] for i in range(n)]
+        d = [[_geodesic(net, i, j) for j in range(n)] for i in range(n)]
         for i in range(n):
             assert d[i][i] == 0
             for j in range(n):
                 assert d[i][j] == d[j][i]
                 for k in range(n):
                     assert d[i][k] <= d[i][j] + d[j][k]
+
+
+def test_too_few_edges_are_refused_before_n_sizes_anything():
+    # a connected graph needs n - 1 edges; n = 10**6 once built omega and
+    # the adjacency (a 217 MB tracemalloc peak) before refusing one edge
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match="the coupling graph must be connected"):
+            QubitNetwork(n=10**6, edges={(0, 1): np.eye(3)})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_ising_drift_matrix_oracle():
@@ -121,6 +140,8 @@ def test_validation_errors():
         QubitNetwork(n=2, edges={(0, 0): g})
     with pytest.raises(DomainError):  # disconnected
         QubitNetwork(n=4, edges={(0, 1): g, (2, 3): g.copy()})
+    with pytest.raises(DomainError, match="must be connected"):  # n - 1 edges, disconnected
+        QubitNetwork(n=5, edges={(0, 1): g, (1, 2): g, (0, 2): g, (3, 4): g})
     with pytest.raises(DomainError):  # all-zero tensor
         QubitNetwork(n=2, edges={(0, 1): np.zeros((3, 3))})
     with pytest.raises(DomainError):  # no edges
