@@ -24,9 +24,12 @@ connected vertex set U that contains S.
 U is S itself when the induced subgraph G[S] is connected, and S plus a
 shortest path found by one BFS when G[S] has two components.  Otherwise, on
 a tree it is what remains after pruning leaves outside S, in O(n); on other
-graphs the Dreyfus-Wagner program (Networks 1:195-207, 1971) finds it over
-shortest-path distances of the leaf-pruned graph, in time exponential in
-the number of components of G[S], not in n.
+graphs the Dreyfus-Wagner program (Networks 1:195-207, 1971) finds it on
+the leaf-pruned graph with each component contracted to a node.  No
+all-pairs distances are formed: each subset's merged costs spread over the
+graph by one Dijkstra search (Erickson, Monma and Veinott, Math. Oper.
+Res. 12:634-664, 1987), so c components of G[S] on N nodes and |E| edges
+take O(3**c * N + 2**c * |E| log N) time and O(2**c * N) memory.
 
 Witness rule: steps compare as (kind, edge, vertex) tuples with "grow" <
 "shrink", and the witness is the smallest shortest walk ranked by (first
@@ -36,9 +39,11 @@ so on a given U the smallest walk grows U greedily (smallest available step
 first) and then shrinks greedily (smallest step that keeps a vertex of S in
 every component).  When U is unique -- on every tree, and whenever G[S] is
 connected -- this is the smallest shortest walk overall.  When several
-minimal Steiner sets exist, U is the one the Dreyfus-Wagner recursion
-reconstructs, taking the first minimizer in node order at every choice;
-for two components that is the path the BFS walks back.
+minimal Steiner sets exist, the contract is this: U is the one the
+Dreyfus-Wagner recursion reconstructs (for two components, the path the
+BFS walks back), taking at every choice the first minimizer in contracted
+node order -- components first, in order of least vertex, then the other
+vertices in increasing order.  The test suite pins these witnesses.
 
 Every weight >= 2 word on a connected n-qubit graph has depth at most
 2*(n-2): grow to full support along a spanning tree, then shrink.
@@ -59,7 +64,8 @@ from .network import QubitNetwork, canonical_edge, components, distances, requir
 from .pauli import PauliString
 
 MAX_TABLE_QUBITS = 20
-# Dreyfus-Wagner takes about 3**(c-1) vector steps for c components of G[S]
+# Dreyfus-Wagner takes about 3**(c-1)/2 split rows and 2**(c-1) graph
+# searches for c components of G[S]
 MAX_STEINER_COMPONENTS = 13
 
 GROW = "grow"
@@ -136,13 +142,9 @@ def _dreyfus_wagner(adj, comps) -> set[int]:
             f"support splits into {c} components; the Steiner search is "
             f"capped at {MAX_STEINER_COMPONENTS}"
         )
-    node = {}
-    for i, comp in enumerate(comps):
-        for v in comp:
-            node[v] = i
+    node = {v: i for i, comp in enumerate(comps) for v in comp}
     inner = [v for v in adj if v not in node]
-    for i, v in enumerate(inner):
-        node[v] = c + i
+    node.update((v, c + i) for i, v in enumerate(inner))
     N = c + len(inner)
     nbrs = [set() for _ in range(N)]
     for u, ws in adj.items():
@@ -150,47 +152,50 @@ def _dreyfus_wagner(adj, comps) -> set[int]:
             if node[u] != node[w]:
                 nbrs[node[u]].add(node[w])
     nbrs = [sorted(s) for s in nbrs]
-    dist = np.full((N, N), N, dtype=np.int64)  # N exceeds every distance
-    np.fill_diagonal(dist, 0)
-    for u in range(N):
-        dist[u, nbrs[u]] = 1
-    for k in range(N):  # Floyd-Warshall
-        np.minimum(dist, dist[:, k:k + 1] + dist[k], out=dist)
 
     # dp[mask][v]: cheapest tree joining terminal set `mask` (of terminals
     # 0..k-1) and node v.  Root terminal k closes the tree.
     k = c - 1
-    cols = np.arange(N)
-    dp = [None] * (1 << k)
+    dp = np.zeros((1 << k, N), dtype=np.int64)
     via = [None] * (1 << k)
     split = [None] * (1 << k)
     for t in range(k):
-        dp[1 << t] = dist[t]
+        dist = distances(nbrs, (t,), range(N))
+        dp[1 << t, list(dist)] = list(dist.values())
     for mask in range(1, 1 << k):
         if mask & (mask - 1) == 0:
             continue
         low = mask & -mask
-        best = np.full(N, np.iinfo(np.int64).max // 4)
-        cut = np.zeros(N, dtype=np.int64)
+        subs = []
         sub = (mask - 1) & mask
         while sub:
             if sub & low:  # each unordered split once
-                cand = dp[sub] + dp[mask ^ sub]
-                better = cand < best
-                best[better] = cand[better]
-                cut[better] = sub
+                subs.append(sub)
             sub = (sub - 1) & mask
-        total = best[:, None] + dist
-        via[mask] = total.argmin(axis=0)
-        dp[mask] = total[via[mask], cols]
-        split[mask] = cut
+        subs = np.array(subs)
+        cand = dp[subs] + dp[mask ^ subs]
+        split[mask] = subs[cand.argmin(axis=0)]  # the first least split, as listed
+        # spread: key[w] = least (cost, v) of cand.min()[v] + d(v, w), packed as
+        # cost * N + v, by Dijkstra seeded with the edge steps that improve a key
+        key = (cand.min(axis=0) * N + np.arange(N)).tolist()
+        heap = [(key[u] + N, w) for u in range(N) for w in nbrs[u] if key[u] + N < key[w]]
+        heapq.heapify(heap)
+        while heap:
+            kw, w = heapq.heappop(heap)
+            if kw < key[w]:
+                key[w] = kw
+                for x in nbrs[w]:
+                    if kw + N < key[x]:
+                        heapq.heappush(heap, (kw + N, x))
+        dp[mask], via[mask] = np.divmod(key, N)
 
     chosen: set[int] = set()
 
     def path(v: int, t: int) -> None:
+        dist = distances(nbrs, (t,), range(N))
         chosen.add(v)
         while v != t:
-            v = next(w for w in nbrs[v] if dist[t, w] == dist[t, v] - 1)
+            v = next(w for w in nbrs[v] if dist[w] == dist[v] - 1)
             chosen.add(v)
 
     def build(mask: int, v: int) -> None:

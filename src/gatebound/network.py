@@ -24,10 +24,11 @@ from sys import float_info
 
 import numpy as np
 
-from .errors import DomainError, ParseError
+from .errors import DomainError, ParseError, ResourceLimitError
 
 AXES = ("x", "y", "z")
 CONTROL_MODELS = ("full_local", "star_reduced")
+MAX_PRESET_QUBITS = 10_000  # a preset file's one number sizes every edge
 
 
 def canonical_edge(i: int, j: int) -> tuple[int, int]:
@@ -223,7 +224,7 @@ def network_from_dict(data: dict) -> QubitNetwork:
          "edges": [{"i": 0, "j": 1, "g": [[...3x3...]]}, ...],
          "omega": [[wx, wy, wz], ...]}            # optional
 
-    Preset shorthand::
+    Preset shorthand, with n at most ``MAX_PRESET_QUBITS``::
 
         {"preset": "ising_chain" | "heisenberg_chain" | "star",
          "n": 3, "J": 1.0}
@@ -238,6 +239,9 @@ def network_from_dict(data: dict) -> QubitNetwork:
             n, J = json_int(data["n"]), json_number(data.get("J", 1.0))
         except (KeyError, ValueError):
             raise ParseError("preset form needs an integer 'n' and a number 'J'") from None
+        if n > MAX_PRESET_QUBITS:
+            raise ResourceLimitError(
+                f"preset n = {n} exceeds the {MAX_PRESET_QUBITS}-qubit preset cap")
         return _PRESETS[kind](n, J)
     try:
         n = json_int(data["n"])

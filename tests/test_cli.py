@@ -329,6 +329,13 @@ def test_preset_with_non_numeric_coupling_exit_2(zzz_target, tmp_path):
     assert main(["bound", str(net), zzz_target, "--epsilon", "0.05"]) == 2
 
 
+def test_preset_above_the_qubit_cap_exit_3(zzz_target, tmp_path, capsys):
+    net = tmp_path / "big.json"
+    net.write_text(json.dumps({"preset": "ising_chain", "n": 10_001}))
+    assert main(["bound", str(net), zzz_target, "--epsilon", "0.05"]) == 3
+    assert "10000-qubit preset cap" in _one_line_error(capsys)
+
+
 def test_huge_coefficients_exit_3(three_path, tmp_path):
     target = tmp_path / "huge.json"
     target.write_text(json.dumps([{"coeff": 1e300, "pauli": "XZI"},

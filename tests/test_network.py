@@ -15,7 +15,7 @@ from gatebound import (
     min_coupling,
     star,
 )
-from gatebound.errors import DomainError, ParseError
+from gatebound.errors import DomainError, ParseError, ResourceLimitError
 from gatebound.network import (
     distances,
     dump_json,
@@ -104,6 +104,18 @@ def test_too_few_edges_are_refused_before_n_sizes_anything():
     try:
         with pytest.raises(DomainError, match="the coupling graph must be connected"):
             QubitNetwork(n=10**6, edges={(0, 1): np.eye(3)})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_a_preset_n_above_the_cap_is_refused_before_anything_is_built():
+    # a preset builds n - 1 edges from one number; n = 100,000 once took 7.9 s
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="10001 exceeds the 10000-qubit preset cap"):
+            network_from_dict({"preset": "ising_chain", "n": 10_001})
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
