@@ -199,7 +199,9 @@ def cmd_scan(args) -> int:
     try:
         times = [float(t) for t in args.times.split(",") if t.strip()]
     except ValueError:
-        raise ParseError(f"cannot parse time list {args.times!r}") from None
+        times = []
+    if not times:
+        raise ParseError(f"cannot parse time list {args.times!r}")
     rows = grape.time_scan(net, U_target, times, **_grape_kwargs(args))
     buf = io.StringIO()
     grape.write_scan_csv(rows, buf)

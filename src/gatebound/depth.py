@@ -45,6 +45,14 @@ BFS walks back), taking at every choice the first minimizer in contracted
 node order -- components first, in order of least vertex, then the other
 vertices in increasing order.  The test suite pins these witnesses.
 
+The greedy shrink keys each y in U \\ S by its least step, (edge to its
+least neighbour left, y), in a heap.  Removing y keeps a vertex of S in
+every component iff one search from S inside the rest reaches all of it;
+a leaf needs no search.  A y that fails leaves the heap until a neighbour
+of y is removed, as until then a component of the rest next to y still
+misses S.  Each heap entry costs at most one search: O(|E(U)|**2) time at
+worst (a chain numbered at random), O(|U| log |U|) when leaves go first.
+
 Every weight >= 2 word on a connected n-qubit graph has depth at most
 2*(n-2): grow to full support along a spanning tree, then shrink.
 
@@ -84,7 +92,7 @@ class DepthStep:
 @dataclass(frozen=True)
 class DepthResult:
     witness: tuple[DepthStep, ...]
-    start_edge: tuple[int, int] | None
+    start_edge: tuple[int, int]
 
     @property
     def depth(self) -> int:
@@ -225,10 +233,10 @@ def _steiner_set(net: QubitNetwork, adj, terminals: frozenset) -> set[int]:
     return set(terminals) | _dreyfus_wagner(pruned, comps)
 
 
-def _smallest_walk(adj, edges, U: set[int], terminals: frozenset):
+def _smallest_walk(adj, U: set[int], terminals: frozenset):
     """(start edge, steps) of the smallest shortest walk visiting U."""
-    adj = {v: [w for w in adj[v] if w in U] for v in U}
-    edges = [e for e in edges if e[0] in U and e[1] in U]
+    adj = {v: [w for w in adj[v] if w in U] for v in sorted(U)}
+    edges = [(v, w) for v in adj for w in adj[v] if v < w]  # sorted
     if len(U) == 2:
         return edges[0], []
     # the first step from each start edge is its smallest grow step
@@ -249,14 +257,26 @@ def _smallest_walk(adj, edges, U: set[int], terminals: frozenset):
         for x in adj[w]:
             if x not in support:
                 heapq.heappush(heap, (canonical_edge(w, x), x))
+
+    def key(y):  # y's least shrink step: the edge to its least neighbour left
+        return canonical_edge(y, next(w for w in adj[y] if w in support)), y
+
+    heap = [key(y) for y in support - terminals]
+    heapq.heapify(heap)
     while len(support) > len(terminals):
-        # every component left must keep a terminal to shrink towards
-        edge, y = next(
-            (e, y) for e in edges if e[0] in support and e[1] in support
-            for y in e if y not in terminals and all(
-                comp & terminals for comp in components(adj, support - {y})))
+        edge, y = entry = heapq.heappop(heap)
+        if y not in support or entry != key(y):
+            continue  # stale
         support.remove(y)
+        # every component left must keep a terminal: a leaf's does, else search once
+        if (sum(w in support for w in adj[y]) > 1
+                and len(distances(adj, terminals, support)) < len(support)):
+            support.add(y)  # dropped until a neighbour of y leaves
+            continue
         steps.append(DepthStep(SHRINK, edge, y))
+        for w in adj[y]:
+            if w in support and w not in terminals:
+                heapq.heappush(heap, key(w))
     return start, steps
 
 
@@ -275,9 +295,8 @@ def depth_of_support(net: QubitNetwork, support) -> DepthResult:
     """Exact depth of a support set (>= 2 vertices) with a shortest witness."""
     require_full_local(net)
     terminals = _check_support(net.n, support)
-    adj = [net.neighbors(v) for v in range(net.n)]
-    U = _steiner_set(net, adj, terminals)
-    start, steps = _smallest_walk(adj, net.sorted_edges(), U, terminals)
+    U = _steiner_set(net, net.adjacency, terminals)
+    start, steps = _smallest_walk(net.adjacency, U, terminals)
     return DepthResult(tuple(steps), start)
 
 
@@ -323,7 +342,7 @@ def max_depth_table(net: QubitNetwork) -> DepthTable:
             f"{net.n} qubits exceed the {MAX_TABLE_QUBITS}-qubit table cap"
         )
     n = net.n
-    adj_mask = [sum(1 << w for w in net.neighbors(v)) for v in range(n)]
+    adj_mask = [sum(1 << w for w in nbrs) for nbrs in net.adjacency]
     weight = np.zeros(1 << n, dtype=np.int8)
     for b in range(n):
         weight[1 << b:2 << b] = weight[:1 << b] + 1

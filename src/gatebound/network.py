@@ -66,7 +66,8 @@ class QubitNetwork:
     edges: dict[tuple[int, int], np.ndarray]
     omega: np.ndarray = None
     control_model: str = "full_local"
-    _adjacency: dict[int, tuple[int, ...]] = field(init=False, repr=False)
+    # each qubit's neighbours, sorted
+    adjacency: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.n < 2:
@@ -108,20 +109,14 @@ class QubitNetwork:
         omega.setflags(write=False)
         object.__setattr__(self, "omega", omega)
 
-        adjacency = {i: [] for i in range(self.n)}
+        adjacency = [[] for _ in range(self.n)]
         for (i, j) in edges:
             adjacency[i].append(j)
             adjacency[j].append(i)
-        adjacency = {i: tuple(sorted(nbrs)) for i, nbrs in adjacency.items()}
-        object.__setattr__(self, "_adjacency", adjacency)
-        if len(components(adjacency, range(self.n))) > 1:
+        adjacency = tuple(tuple(sorted(nbrs)) for nbrs in adjacency)
+        object.__setattr__(self, "adjacency", adjacency)
+        if len(distances(adjacency, (0,), range(self.n))) < self.n:
             raise DomainError("the coupling graph must be connected")
-
-    def neighbors(self, i: int) -> tuple[int, ...]:
-        return self._adjacency[i]
-
-    def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
 
     def edge_tensor(self, edge: tuple[int, int]) -> np.ndarray:
         """The read-only tensor stored for (min, max) of the edge: its row

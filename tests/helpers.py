@@ -223,7 +223,7 @@ def network_to_dict(net: QubitNetwork) -> dict:
         "control_model": net.control_model,
         "edges": [
             {"i": i, "j": j, "g": net.edges[(i, j)].tolist()}
-            for (i, j) in net.sorted_edges()
+            for (i, j) in sorted(net.edges)
         ],
         "omega": net.omega.tolist(),
     }
@@ -291,7 +291,7 @@ def string_depth_oracle(net: QubitNetwork) -> dict[tuple[int, int], int]:
     n = net.n
     generators = [
         two_body(n, u, a, v, b)
-        for (u, v) in net.sorted_edges()
+        for (u, v) in sorted(net.edges)
         for a in "XYZ"
         for b in "XYZ"
     ]
@@ -346,7 +346,7 @@ def lexicographic_depth_oracle(net: QubitNetwork) -> dict[int, tuple]:
     (first step, start edge, remaining steps).  A witness depends only on
     its own support, so one search serves every support of the graph.
     """
-    edges = net.sorted_edges()
+    edges = sorted(net.edges)
 
     def moves(mask):
         out = []

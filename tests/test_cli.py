@@ -686,6 +686,7 @@ def test_unknown_primitive_kind_is_named(three_path, zzz_target, tmp_path, capsy
     (["bound", "NET", '{"coeff": 0.5, "pauli": "ZZZ"}', "--epsilon", "0.05"],
      "generator JSON must be a list of terms"),
     (["scan", "NET", "TARGET", "--times", "0.5,abc"], "cannot parse time list '0.5,abc'"),
+    (["scan", "NET", "TARGET", "--times", ","], "cannot parse time list ','"),
     # each of these six once ended in a TypeError traceback
     (["verify", "NET", "TARGET", "--epsilon", "0.05", "--schedule", '{"n": 3, "primitives": 5}'],
      "schedule JSON needs an integer 'n' and 'primitives'"),
@@ -700,8 +701,9 @@ def test_unknown_primitive_kind_is_named(three_path, zzz_target, tmp_path, capsy
      "unknown preset {'a': 1}"),
     (["bound", "NET", '[{"coeff": 0.5, "pauli": 5}]', "--epsilon", "0.05"],
      "a Pauli word must be a string"),
-], ids=["network-list", "target-object", "scan-times", "primitives-number", "primitives-null",
-        "edges-number", "edges-null", "preset-list", "preset-object", "pauli-number"])
+], ids=["network-list", "target-object", "scan-times", "scan-no-times", "primitives-number",
+        "primitives-null", "edges-number", "edges-null", "preset-list", "preset-object",
+        "pauli-number"])
 def test_input_of_the_wrong_form_is_a_parse_error(three_path, zzz_target, tmp_path, capsys,
                                                   argv, message):
     paths = {"NET": three_path, "TARGET": zzz_target}

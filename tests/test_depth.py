@@ -5,7 +5,8 @@ import time
 import numpy as np
 import pytest
 
-from gatebound import PauliString, depth, depth_of_support, depth_upper_bound, max_depth_table
+from gatebound import (PauliString, QubitNetwork, depth, depth_of_support, depth_upper_bound,
+                       max_depth_table)
 from gatebound.errors import DomainError, ResourceLimitError
 from gatebound.pauli import parse_pauli
 
@@ -294,7 +295,7 @@ def _tree_span(net, support):
     parent = {root: None}
     order = [root]
     for u in order:
-        for w in net.neighbors(u):
+        for w in net.adjacency[u]:
             if w not in parent:
                 parent[w] = u
                 order.append(w)
@@ -329,11 +330,18 @@ def test_grid_corners_need_an_h_shaped_tree():
 
 def test_supports_on_thousands_of_qubits_take_a_breadth_first_search():
     # a spanning tree plus 5 chords on 2,000 qubits, and a 45x45 grid; these
-    # supports once took seconds to minutes in an all-pairs distance pass
+    # supports once took seconds to minutes in an all-pairs distance pass.
+    # The ends of a 2,000-qubit chain, and of a 1,000-qubit chain numbered at
+    # random, once took a second and minutes in a shrink phase that rescanned
+    # every edge and component after each step
     sparse = random_connected_network(np.random.default_rng(2000), 2000, extra_edges=5)
     grid = grid_graph(45, 45)
+    order = np.random.default_rng(1000).permutation(1000).tolist()
+    shuffled = QubitNetwork(n=1000, edges={(order[k], order[k + 1]): np.diag([0, 0, 1.0])
+                                           for k in range(999)})
     for net, support in ((sparse, (0, 1999)), (sparse, (0, 1000, 1999)),
-                         (grid, (0, 44, 2024)), (grid, (0, 2024))):
+                         (grid, (0, 44, 2024)), (uniform_chain(2000), (0, 1999)),
+                         (shuffled, (order[0], order[-1])), (grid, (0, 2024))):
         start = time.perf_counter()
         res = depth_of_support(net, support)
         assert time.perf_counter() - start < 1.0, support

@@ -211,7 +211,7 @@ def _signed_network(rng, n):
     S = np.triu(rng.choice([-1.0, 1.0], size=(3, 3)))
     S += np.triu(S, 1).T
     return QubitNetwork(n=n, edges={edge: 2.0 * (-1) ** k * S
-                                    for k, edge in enumerate(net.sorted_edges())})
+                                    for k, edge in enumerate(sorted(net.edges))})
 
 
 def _random_schedule(rng, net):
@@ -219,7 +219,7 @@ def _random_schedule(rng, net):
     in random order, on a random such edge in a random orientation, each
     after a random local rotation.  g_used is the entry on the evolution's
     axes and the sign is -sgn(g_used), so the network can run every one."""
-    edges = net.sorted_edges()
+    edges = sorted(net.edges)
     pairs = [(a, b, s) for a in range(3) for b in range(3) for s in (1, -1)]
     prims = []
     for k in rng.permutation(len(pairs)):
