@@ -371,10 +371,10 @@ class PolyMembership:
 def poly_membership(spec: GeneratorSpec, degree_budget: float) -> PolyMembership:
     """Check l <= n**budget and |a|_inf <= n**budget and classify the bound.
 
-    The coarse bound grows like l**3 * n * |a|_inf**2 for multi-term
-    generators, so with l ~ n**p and |a|_inf ~ n**q the time exponent is
-    3p + 1 + 2q (single terms scale linearly in n instead).  Non-members
-    fall into the exponential class, n * 2**(6n) in the worst case.
+    The class describes the coarse bound only, l**3 * n * |a|_inf**2 for
+    multi-term generators: with l ~ n**p and |a|_inf ~ n**q its exponent is
+    3p + 1 + 2q (single terms are linear in n); run_time_bound can grow more
+    slowly.  Non-members fall into the exponential class, n * 2**(6n) at worst.
     """
     n = spec.n
     if n < 2:

@@ -22,8 +22,8 @@ package documentation).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import errno
-import io
 import math
 import os
 import sys
@@ -43,14 +43,11 @@ EXIT_DOMAIN = 3
 EXIT_VERIFY = 4
 
 
-def _write_output(text: str, path: str | None) -> None:
-    if not text.endswith("\n"):
-        text += "\n"
+def _output(path: str | None):
+    """The stream every command writes to: stdout for None or "-", else the file."""
     if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w")
 
 
 def _check_output_path(path: str | None) -> None:
@@ -63,7 +60,9 @@ def _check_output_path(path: str | None) -> None:
 
 
 def _write_json(payload, path: str | None) -> None:
-    _write_output(netmod.dump_json(payload), path)
+    text = netmod.dump_json(payload)  # a non-finite payload raises before the file opens
+    with _output(path) as fh:
+        fh.write(text)
 
 
 def _load_inputs(args):
@@ -89,28 +88,24 @@ def cmd_depth(args) -> int:
             "max_depth": table.max_depth,
             "per_weight": {str(w): d for w, d in sorted(table.per_weight.items())},
         }
-        _write_json(payload, args.output)
-        return EXIT_OK
-    if args.pauli is None:
+    elif args.pauli is None:
         raise ParseError("give a Pauli word or --table")
-    word = parse_pauli(args.pauli)
-    if word.weight == 1 and word.n == net.n:  # depth() refuses other sizes
-        netmod.require_full_local(net)
+    elif (word := parse_pauli(args.pauli)).weight == 1 and word.n == net.n:
+        netmod.require_full_local(net)  # other sizes reach depth(), which refuses them
         payload = {"pauli": args.pauli, "local": True, "depth": 0,
                    "time_contribution": 0.0}
-        _write_json(payload, args.output)
-        return EXIT_OK
-    result = depth(net, word)
-    payload = {
-        "pauli": args.pauli,
-        "local": False,
-        "depth": result.depth,
-        "start_edge": list(result.start_edge),
-        "witness": [
-            {"kind": s.kind, "edge": list(s.edge), "vertex": s.vertex}
-            for s in result.witness
-        ],
-    }
+    else:
+        result = depth(net, word)
+        payload = {
+            "pauli": args.pauli,
+            "local": False,
+            "depth": result.depth,
+            "start_edge": list(result.start_edge),
+            "witness": [
+                {"kind": s.kind, "edge": list(s.edge), "vertex": s.vertex}
+                for s in result.witness
+            ],
+        }
     _write_json(payload, args.output)
     return EXIT_OK
 
@@ -183,9 +178,8 @@ def cmd_grape(args) -> int:
     net, spec = _load_inputs(args)
     U_target = sim.target_unitary(spec)
     pulses = grape.optimize(net, U_target, args.time, **_grape_kwargs(args))
-    buf = io.StringIO()
-    grape.write_pulse_csv(pulses, buf)
-    _write_output(buf.getvalue(), args.output)
+    with _output(args.output) as fh:
+        grape.write_pulse_csv(pulses, fh)
     sys.stderr.write(
         f"T = {pulses.T}, infidelity = {pulses.achieved_infidelity:.3e}, "
         f"iterations = {pulses.iterations}, restart = {pulses.restart_index}\n"
@@ -203,9 +197,8 @@ def cmd_scan(args) -> int:
     if not times:
         raise ParseError(f"cannot parse time list {args.times!r}")
     rows = grape.time_scan(net, U_target, times, **_grape_kwargs(args))
-    buf = io.StringIO()
-    grape.write_scan_csv(rows, buf)
-    _write_output(buf.getvalue(), args.output)
+    with _output(args.output) as fh:
+        grape.write_scan_csv(rows, fh)
     return EXIT_OK
 
 
@@ -225,16 +218,14 @@ def cmd_compare(args) -> int:
     U_target = sim.target_unitary(spec)
     pulses = grape.optimize(net, U_target, T_grape, **_grape_kwargs(args))
     T_exact = bnd.exact_three_spin(1.0, 1.0) if n == 3 else float("nan")
-    T_bound = bnd.nbody_chain_bound(n, 1.0, math.pi / 2)
+    T_bound = bnd.nbody_chain_bound(n, 1.0, netmod.min_coupling(net))
     ok = pulses.achieved_infidelity < args.tol
-    lines = ["case,T_exact,T_bound,T_grape,grape_infidelity,converged"]
-    lines.append(
-        f"{args.case},{T_exact:.12g},{T_bound:.12g},{T_grape:.12g},"
-        f"{pulses.achieved_infidelity:.12g},{str(ok).lower()}"
-    )
-    _write_output("\n".join(lines), args.output)
+    with _output(args.output) as fh:
+        fh.write("case,T_exact,T_bound,T_grape,grape_infidelity,converged\n"
+                 f"{args.case},{T_exact:.12g},{T_bound:.12g},{T_grape:.12g},"
+                 f"{pulses.achieved_infidelity:.12g},{str(ok).lower()}\n")
     if args.pulses is not None:
-        with open(args.pulses, "w") as fh:
+        with _output(args.pulses) as fh:
             grape.write_pulse_csv(pulses, fh)
     return EXIT_OK
 
@@ -251,6 +242,16 @@ def _add_grape_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
 
 
+def _command(sub, name, func, help, *positionals) -> argparse.ArgumentParser:
+    """A subcommand with its positional inputs, -o/--output and its handler."""
+    p = sub.add_parser(name, help=help)
+    for positional in positionals:
+        p.add_argument(positional)
+    p.add_argument("-o", "--output", default=None)
+    p.set_defaults(func=func)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gatebound",
@@ -260,63 +261,40 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("bound", help="evaluate all gate-time bounds")
-    p.add_argument("graph")
-    p.add_argument("target")
+    p = _command(sub, "bound", cmd_bound, "evaluate all gate-time bounds",
+                 "graph", "target")
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--exact-depths", action="store_true")
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=cmd_bound)
 
-    p = sub.add_parser("depth", help="commutator depth of a word or table")
-    p.add_argument("graph")
+    p = _command(sub, "depth", cmd_depth, "commutator depth of a word or table", "graph")
     p.add_argument("pauli", nargs="?", default=None)
     p.add_argument("--table", action="store_true")
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=cmd_depth)
 
-    p = sub.add_parser("synth", help="emit a control schedule")
-    p.add_argument("graph")
-    p.add_argument("target")
+    p = _command(sub, "synth", cmd_synth, "emit a control schedule", "graph", "target")
     p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("verify", help="re-simulate a schedule against bounds")
-    p.add_argument("graph")
-    p.add_argument("target")
+    p = _command(sub, "verify", cmd_verify, "re-simulate a schedule against bounds",
+                 "graph", "target")
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--schedule", default=None,
                    help="schedule JSON (default: synthesize fresh)")
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("grape", help="optimize pulses for a target generator")
-    p.add_argument("graph")
-    p.add_argument("target")
+    p = _command(sub, "grape", cmd_grape, "optimize pulses for a target generator",
+                 "graph", "target")
     p.add_argument("--time", type=float, required=True)
     _add_grape_flags(p)
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=cmd_grape)
 
-    p = sub.add_parser("scan", help="optimize over a list of durations")
-    p.add_argument("graph")
-    p.add_argument("target")
+    p = _command(sub, "scan", cmd_scan, "optimize over a list of durations",
+                 "graph", "target")
     p.add_argument("--times", required=True, help="comma-separated durations")
     _add_grape_flags(p)
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=cmd_scan)
 
-    p = sub.add_parser(
-        "compare",
-        help="exact-vs-bound-vs-optimized benchmark on chain presets",
-    )
+    p = _command(sub, "compare", cmd_compare,
+                 "exact-vs-bound-vs-optimized benchmark on chain presets")
     p.add_argument("--case", choices=sorted(_COMPARE_CASES), required=True)
     _add_grape_flags(p)
     p.add_argument("--pulses", default=None,
                    help="also write the winning pulse CSV here")
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=cmd_compare)
 
     return parser
 

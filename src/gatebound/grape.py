@@ -40,7 +40,7 @@ DEFAULT_MAX_ITERS = 500
 INIT_SCALE = 5.0  # initial amplitudes uniform in [-INIT_SCALE*J, INIT_SCALE*J]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PulseSet:
     """Piecewise-constant amplitudes (N slices x C controls) over time T."""
 

@@ -58,7 +58,7 @@ def components(adjacency, vertices) -> list[set[int]]:
     return comps
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QubitNetwork:
     """Connected coupling graph; immutable after construction."""
 

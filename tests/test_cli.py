@@ -281,6 +281,40 @@ def test_compare_four_spin_row_wiring(tmp_path):
     assert (tmp_path / "p.csv").read_text().startswith("slice,t_start,u_1")
 
 
+SMALL_GRAPE = ["--slices", "4", "--restarts", "1", "--max-iters", "5"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound", "{net}", "{target}", "--epsilon", "0.05"],
+    ["depth", "{net}", "ZZZ"],
+    ["synth", "{net}", "{target}", "--epsilon", "0.05"],
+    ["verify", "{net}", "{target}", "--epsilon", "0.05"],
+    ["grape", "{net}", "{target}", "--time", "1.0", *SMALL_GRAPE],
+    ["scan", "{net}", "{target}", "--times", "0.5,1.0", *SMALL_GRAPE],
+    ["compare", "--case", "3spin-ising", *SMALL_GRAPE],
+], ids=lambda argv: argv[0])
+def test_output_file_holds_the_bytes_written_to_stdout(argv, three_path, zzz_target,
+                                                        tmp_path, capsys):
+    argv = [a.format(net=three_path, target=zzz_target) for a in argv]
+    stdout = []
+    for flags in ([], ["-o", "-"]):
+        assert main(argv + flags) == 0
+        stdout.append(capsys.readouterr().out)
+    out = tmp_path / "out"
+    assert main(argv + ["-o", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == stdout[0].encode() == stdout[1].encode()
+
+
+def test_compare_pulses_dash_is_stdout(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["compare", "--case", "3spin-ising", *SMALL_GRAPE, "--pulses", "-"]) == 0
+    assert not (tmp_path / "-").exists()
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("case,T_exact,")
+    assert lines[2].startswith("slice,t_start,")
+
+
 def test_depth_payload_has_no_exact_flag(three_path, capsys):
     assert main(["depth", three_path, "ZZZ"]) == 0
     data = json.loads(capsys.readouterr().out)

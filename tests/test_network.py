@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from gatebound import (
+    PulseSet,
     QubitNetwork,
     edge_best_coupling,
     heisenberg_chain,
@@ -120,6 +121,16 @@ def test_a_preset_n_above_the_cap_is_refused_before_anything_is_built():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_networks_and_pulse_sets_compare_and_hash_by_identity():
+    # both hold numpy arrays, so field-wise equality would raise
+    nets = (ising_chain(3), ising_chain(3))
+    pulses = tuple(PulseSet(1.0, 2, np.zeros((2, 4)), 0.5, 1, 0) for _ in range(2))
+    for a, b in (nets, pulses):
+        assert a == a and not a != a
+        assert a != b and not a == b
+        assert len({a, b, a}) == 2
 
 
 def test_ising_drift_matrix_oracle():
