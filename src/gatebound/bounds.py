@@ -262,7 +262,7 @@ def bound_report(spec: GeneratorSpec, net: QubitNetwork, epsilon: float,
         l, ai = spec.l, spec.norm_inf
         # l/J * (|a|_inf + pi*l*(l-1)*(n-2)*|a|_inf^2 / (2*sqrt(2)*eps));
         # float ** raises OverflowError where * gives inf
-        coarse = l / J * (ai + math.pi * l * (l - 1) * max(0, net.n - 2) * (ai * ai)
+        coarse = l / J * (ai + math.pi * l * (l - 1) * (net.n - 2) * (ai * ai)
                           / (2 * math.sqrt(2) * epsilon))
         trotter = (spec.norm_1 + math.pi * K * depth_sum
                    / (4 * math.sqrt(2) * epsilon)) / J
@@ -385,7 +385,7 @@ def poly_membership(spec: GeneratorSpec, degree_budget: float) -> PolyMembership
     cap = float(n) ** degree_budget
     member = l <= cap and ai <= cap
     l_exp = math.log(l) / math.log(n)
-    a_exp = max(0.0, math.log(ai) / math.log(n)) if ai > 0 else 0.0
+    a_exp = max(0.0, math.log(ai) / math.log(n))
     if not member:
         exponent = None
         klass = "exponential"

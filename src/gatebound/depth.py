@@ -136,8 +136,8 @@ def _join_two(adj, comps) -> set[int]:
     return joined
 
 
-def _dreyfus_wagner(adj, comps) -> set[int]:
-    """Fewest vertices outside the components that join them all in ``adj``, a dict.
+def _dreyfus_wagner(adj, keep, comps) -> set[int]:
+    """Fewest vertices outside the components that join them all within ``keep``.
 
     Each component of G[S] is contracted to one terminal node (nodes
     0..c-1); the other vertices follow in increasing order.  With unit
@@ -151,13 +151,13 @@ def _dreyfus_wagner(adj, comps) -> set[int]:
             f"capped at {MAX_STEINER_COMPONENTS}"
         )
     node = {v: i for i, comp in enumerate(comps) for v in comp}
-    inner = [v for v in adj if v not in node]
+    inner = [v for v in sorted(keep) if v not in node]
     node.update((v, c + i) for i, v in enumerate(inner))
     N = c + len(inner)
     nbrs = [set() for _ in range(N)]
-    for u, ws in adj.items():
-        for w in ws:
-            if node[u] != node[w]:
+    for u in keep:
+        for w in adj[u]:
+            if w in keep and node[u] != node[w]:
                 nbrs[node[u]].add(node[w])
     nbrs = [sorted(s) for s in nbrs]
 
@@ -229,8 +229,7 @@ def _steiner_set(net: QubitNetwork, adj, terminals: frozenset) -> set[int]:
     keep = _prune_leaves(adj, terminals)
     if len(net.edges) == net.n - 1:
         return keep
-    pruned = {v: [w for w in adj[v] if w in keep] for v in sorted(keep)}
-    return set(terminals) | _dreyfus_wagner(pruned, comps)
+    return set(terminals) | _dreyfus_wagner(adj, keep, comps)
 
 
 def _smallest_walk(adj, U: set[int], terminals: frozenset):

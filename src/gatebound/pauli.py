@@ -42,10 +42,8 @@ class PauliString:
         if self.n < 1:
             raise DomainError(f"qubit count must be >= 1, got {self.n}")
         mask = (1 << self.n) - 1
-        if self.x_bits & ~mask or self.z_bits & ~mask:
-            raise DomainError("bit masks exceed the declared qubit count")
-        if self.x_bits < 0 or self.z_bits < 0:
-            raise DomainError("bit masks must be non-negative")
+        if self.x_bits & ~mask or self.z_bits & ~mask:  # a negative mask too
+            raise DomainError(f"bit masks must lie in 0..2**{self.n} - 1")
         object.__setattr__(self, "phase_exp", self.phase_exp % 4)
 
     @property

@@ -75,6 +75,8 @@ class TestGeneratorSpec:
             spec_of((1.0, "X"), (1.0, "XX"))
         with pytest.raises(DomainError):
             GeneratorSpec(())
+        with pytest.raises(DomainError, match="phase 0"):
+            GeneratorSpec(((1.0, PauliString(2, 1, 0, 2)),))  # -XI
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(DomainError):
                 spec_of((bad, "X"))
@@ -131,6 +133,8 @@ class TestTrotterError:
         assert min_trotter_steps(XY_SPEC, 0.9) == 1
         with pytest.raises(DomainError):
             min_trotter_steps(XY_SPEC, 0.0)
+        with pytest.raises(DomainError, match="unboundedly many steps"):
+            min_trotter_steps(XY_SPEC, 5e-324)  # e1 / epsilon overflows
         with pytest.raises(DomainError):
             trotter_error_bound(XY_SPEC, 0)
 
@@ -492,6 +496,10 @@ class TestNamedBounds:
         _, T1 = concatenation_bounds(1.0, 2, s, 0.1)
         _, T2 = concatenation_bounds(1.0, 2, s, 0.2)
         assert T1 == pytest.approx(2 * T2)
+        with pytest.raises(DomainError, match="at least one qubit"):
+            concatenation_bounds(1.0, 0, s, 0.1)
+        with pytest.raises(DomainError, match="at least two terms"):
+            concatenation_bounds(1.0, 2, spec_of((1.0, "XI")), 0.1)
 
     def test_star_bound(self):
         assert star_term_bound(3, 1.0, 0.0) == pytest.approx(13 * math.pi / 2)
@@ -501,6 +509,8 @@ class TestNamedBounds:
         for n in (3, 5, 9):
             inc = star_term_bound(n + 1, 2.0, 0.3) - star_term_bound(n, 2.0, 0.3)
             assert inc == pytest.approx(6 * math.pi / 2.0)
+        with pytest.raises(DomainError, match="n >= 3"):
+            star_term_bound(2, 1.0, 0.3)
 
     def test_ising_preset_matches_chain_bound_inputs(self):
         # the preset's smallest coupling is the chain-bound J
@@ -514,6 +524,8 @@ class TestPolyMembership:
         rep = poly_membership(s, 1.0)
         assert rep.member and rep.scaling_class == "linear"
         assert rep.scaling_exponent == 1.0
+        with pytest.raises(DomainError, match="n >= 2"):
+            poly_membership(spec_of((1.0, "Z")), 1.0)  # log n is 0 on one qubit
 
     def test_polynomial_exponent_four(self):
         n = 4

@@ -3,11 +3,13 @@
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from gatebound.network import load_network
 from gatebound.pauli import PauliString, format_pauli
 from gatebound.synthesis import load_schedule, save_schedule, synth_generator
 
-from helpers import random_connected_network, random_spec
+from helpers import random_connected_network, random_spec, replay_witness
 
 THREE_PATH = {
     "n": 3,
@@ -104,6 +106,9 @@ def test_depth_table_on_twenty_qubits_is_fast(tmp_path, capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["max_depth"] == data["per_weight"]["2"] == 36
     assert data["per_weight"]["20"] == 18
+    net.write_text(json.dumps({"preset": "ising_chain", "n": 21, "J": 1.0}))
+    assert main(["depth", str(net), "--table"]) == 3
+    assert "21 qubits exceed the 20-qubit table cap" in _one_line_error(capsys)
 
 
 def test_depth_single_words(three_path, capsys):
@@ -811,6 +816,80 @@ def test_synth_file_is_the_save_schedule_bytes(three_path, tmp_path, terms):
     schedule, _ = synth_generator(load_network(three_path), load_spec(target), 0.05)
     save_schedule(schedule, ref)
     assert out.read_bytes() == ref.read_bytes()
+
+
+@pytest.mark.parametrize("net, terms, depths", [
+    ({"n": 6, "edges": [{"i": i, "j": (i + 1) % 6, "g": ZZ_EDGE} for i in range(6)]},
+     [{"coeff": 0.4, "pauli": "XIIZII"}, {"coeff": -0.3, "pauli": "ZZIIIY"}], [4, 1]),
+    ({"preset": "ising_chain", "n": 10, "J": 1.0}, [{"coeff": 0.5, "pauli": "XYZZYXXYZX"}], [8]),
+], ids=["six-ring", "ten-qubit-word"])
+def test_commands_agree_on_one_generator(tmp_path, capsys, net, terms, depths):
+    # verify of the synth file is verify with fresh synthesis, byte for byte,
+    # and bound --exact-depths reports the depth command's depths
+    graph, target, schedule = (tmp_path / name for name in ("net.json", "t.json", "s.json"))
+    graph.write_text(json.dumps(net))
+    target.write_text(json.dumps(terms))
+    common = [str(graph), str(target), "--epsilon", "0.05"]
+    start = time.perf_counter()
+    assert main(["synth", *common, "-o", str(schedule)]) == 0
+    capsys.readouterr()
+    verified = []
+    for argv in (["verify", *common, "--schedule", str(schedule)], ["verify", *common]):
+        assert main(argv) == 0
+        verified.append(capsys.readouterr().out)
+    assert time.perf_counter() - start < 5.0
+    assert verified[0] == verified[1] and json.loads(verified[0])["pass"] is True
+    assert main(["bound", *common, "--exact-depths"]) == 0
+    bound = json.loads(capsys.readouterr().out)
+    assert bound["exact_depths"] is True and bound["depths"] == depths
+    for term, d in zip(terms, depths):
+        assert main(["depth", str(graph), term["pauli"]]) == 0
+        assert json.loads(capsys.readouterr().out)["depth"] == d
+
+
+def _tree_plus_chords():
+    """A random spanning tree on 2,000 qubits plus 5 chords, and a word on
+    qubits 0, 1000 and 1999."""
+    r = random.Random(1)
+    tree = {(r.randrange(k), k) for k in range(1, 2000)}
+    pairs = (tuple(sorted(r.sample(range(2000), 2))) for _ in range(50))
+    chords = list(dict.fromkeys(p for p in pairs if p not in tree))[:5]
+    return 2000, sorted(tree) + chords, {0: "Z", 1000: "X", 1999: "Y"}
+
+
+def _grid_corners():
+    """A 60x60 grid, vertex 60*row + column, and a word on three corners."""
+    pairs = [(v, w) for v in range(3600) for w in (v + 1, v + 60)
+             if w < 3600 and (w == v + 60 or w % 60)]
+    return 3600, pairs, {0: "Z", 59: "Z", 3599: "Z"}
+
+
+def _shuffled_chain_ends():
+    """A 1,000-qubit chain numbered at random, and a word on its two ends."""
+    order = list(range(1000))
+    random.Random(1).shuffle(order)
+    return 1000, list(zip(order, order[1:])), {order[0]: "Z", order[-1]: "Z"}
+
+
+@pytest.mark.parametrize("network, expected", [
+    (_tree_plus_chords, 21), (_grid_corners, 233), (_shuffled_chain_ends, 1996),
+], ids=["tree-plus-chords", "grid-corners", "shuffled-chain-ends"])
+def test_depth_of_a_word_on_a_large_network_file(tmp_path, capsys, network, expected):
+    # loading the file is most of the time; each word once took half a minute
+    # or more, in an all-pairs distance pass or a shrink phase that rescanned
+    # every edge after each step
+    n, pairs, labels = network()
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps({"n": n, "edges": [{"i": i, "j": j, "g": ZZ_EDGE}
+                                                  for i, j in pairs]}))
+    word = "".join(labels.get(q, "I") for q in range(n))
+    start = time.perf_counter()
+    assert main(["depth", str(path), word]) == 0
+    assert time.perf_counter() - start < 5.0
+    data = json.loads(capsys.readouterr().out)
+    steps = [SimpleNamespace(**step) for step in data["witness"]]
+    assert data["depth"] == len(steps) == expected
+    assert replay_witness(tuple(data["start_edge"]), steps) == set(labels)
 
 
 @pytest.mark.parametrize("argv", [

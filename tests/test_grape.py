@@ -30,7 +30,7 @@ from gatebound.grape import (
     write_pulse_csv,
     write_scan_csv,
 )
-from gatebound.pauli import parse_pauli
+from gatebound.pauli import parse_pauli, to_matrix
 from gatebound.simulator import drift_matrix, gate_infidelity, unitarity_defect
 
 from helpers import uniform_chain
@@ -208,6 +208,13 @@ class TestGradient:
         g = gradient(net, pulses, target)
         assert np.linalg.norm(g) < 1e-8
 
+    def test_zero_gradient_at_zero_overlap(self):
+        # the ZZ drift alone keeps U diagonal, so tr(XX U) is exactly 0: the
+        # infidelity is at its maximum, where the phase of the overlap is undefined
+        net = ising_chain(2, J=1.0)
+        pulses = make_pulses(np.random.default_rng(19), 1.0, 4, 4, scale=0.0)
+        assert not gradient(net, pulses, to_matrix(parse_pauli("XX"))).any()
+
     def test_negated_controls_mirror_gradient(self):
         # with H_k -> -H_k the landscape satisfies F'(u) = F(-u), so the
         # gradient at u equals minus the original gradient at -u
@@ -311,6 +318,14 @@ class TestOptimize:
     def test_pulse_set_needs_finite_positive_time(self, T):
         with pytest.raises(DomainError):
             PulseSet(T=T, N=4, amplitudes=np.zeros((4, 2)),
+                     achieved_infidelity=1.0, iterations=0, seed=None)
+
+    @pytest.mark.parametrize("N, shape, message", [(0, (0, 2), "N >= 1"),
+                                                   (4, (3, 2), "N x C"), (4, (4,), "N x C")],
+                             ids=["no-slices", "wrong-slice-count", "one-axis"])
+    def test_pulse_set_needs_n_by_c_amplitudes(self, N, shape, message):
+        with pytest.raises(DomainError, match=message):
+            PulseSet(T=1.0, N=N, amplitudes=np.zeros(shape),
                      achieved_infidelity=1.0, iterations=0, seed=None)
 
 

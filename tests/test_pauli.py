@@ -13,6 +13,7 @@ from gatebound.pauli import (
     single,
     symplectic_bits,
     to_matrix,
+    two_body,
 )
 
 from helpers import all_strings, identity, kron_word, parse_pauli_oracle, random_word
@@ -187,6 +188,7 @@ def test_parse_format_round_trip():
     assert p.z_bits == 0b011 and p.x_bits == 0
     p = parse_pauli("XYZ")
     assert p.x_bits == 0b011 and p.z_bits == 0b110
+    assert repr(PauliString(3, 0b011, 0b110, 3)) == "PauliString(-i*XYZ)"
 
 
 def test_parse_errors():
@@ -234,6 +236,13 @@ def test_weight_and_support():
     assert single(4, 2, "y").support == (2,)
     with pytest.raises(DomainError):
         PauliString(0, 0, 0)
+    for x, z in ((0b100, 0), (0, -1)):  # a bit past qubit 1, and a negative mask
+        with pytest.raises(DomainError, match="bit masks"):
+            PauliString(2, x, z)
+    with pytest.raises(DomainError, match="qubit 4 outside"):
+        single(4, 4, "x")
+    with pytest.raises(DomainError, match="distinct qubits"):
+        two_body(4, 1, "x", 1, "z")
 
 
 def test_support_matches_per_qubit_definition():

@@ -72,6 +72,8 @@ class TestScheduleType:
             TwoBodyEvolution((0, 1), "z", "z", 1, -1.0, 1.0)
         with pytest.raises(DomainError):
             TwoBodyEvolution((0, 1), "w", "z", 1, 1.0, 1.0)
+        with pytest.raises(DomainError, match="g_used"):
+            TwoBodyEvolution((0, 1), "z", "z", 1, 1.0, 0.0)
 
     def test_json_round_trip(self, tmp_path):
         net = uniform_chain(3)
@@ -163,6 +165,8 @@ class TestSelectTwoBody:
             select_two_body(net, (0, 2), "z", "z", 1, 1.0)
         with pytest.raises(DomainError):
             select_two_body(net, (0, 1), "z", "z", 1, -0.5)
+        with pytest.raises(DomainError, match="sign"):
+            select_two_body(net, (0, 1), "z", "z", 2, 0.5)
 
 
 class TestConjugationIdentity:
