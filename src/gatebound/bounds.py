@@ -289,9 +289,6 @@ def run_time_bound(spec: GeneratorSpec, net: QubitNetwork, epsilon: float,
 def cnot_bound(net: QubitNetwork, i: int, j: int) -> float:
     """CNOT time bound pi*((d(i,j)-1)/J + 1/(4J)), d the geodesic distance:
     the single-word bound at angle pi/4 and the depth 2*(d-1) of {i, j}."""
-    require_full_local(net)
-    if i == j:
-        raise DomainError("CNOT needs two distinct qubits")
     depth = depth_of_support(net, (i, j)).depth
     return single_term_bound(math.pi / 4, depth, min_coupling(net))
 

@@ -4,16 +4,16 @@ Angles are radians; times are in units of 1/J of the input file's coupling
 entries (everything is dimensionless internally).  Exit codes: 0 success,
 2 parse or file error, 3 domain error, 4 verification failure.
 
-Commands::
+Commands; ``gatebound COMMAND --help`` lists each one's flags, the grape
+flags included, and every command takes -o/--output (stdout if absent or -)::
 
-    gatebound bound  GRAPH TARGET --epsilon EPS [--exact-depths] [-o OUT]
-    gatebound depth  GRAPH (PAULI | --table) [-o OUT]
-    gatebound synth  GRAPH TARGET --epsilon EPS -o SCHEDULE
+    gatebound bound  GRAPH TARGET --epsilon EPS [--exact-depths]
+    gatebound depth  GRAPH (PAULI | --table)
+    gatebound synth  GRAPH TARGET --epsilon EPS
     gatebound verify GRAPH TARGET --epsilon EPS [--schedule FILE]
-    gatebound grape  GRAPH TARGET --time T [--slices N] [--restarts R]
-                     [--seed S] [--tol TOL] [--max-iters I] [-o PULSES.csv]
-    gatebound scan   GRAPH TARGET --times T1,T2,... [grape flags] [-o OUT.csv]
-    gatebound compare --case {3spin-ising,4spin-heisenberg} [grape flags]
+    gatebound grape  GRAPH TARGET --time T [grape flags]
+    gatebound scan   GRAPH TARGET --times T1,T2,... [grape flags]
+    gatebound compare --case {3spin-ising,4spin-heisenberg} [grape flags] [--pulses CSV]
 
 GRAPH and TARGET are JSON files (see network and generator formats in the
 package documentation).
@@ -232,14 +232,14 @@ def cmd_compare(args) -> int:
 
 def _add_grape_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--slices", type=int, default=grape.DEFAULT_SLICES,
-                   help="piecewise-constant slices (default 64)")
+                   help="piecewise-constant slices (default %(default)s)")
     p.add_argument("--restarts", type=int, default=grape.DEFAULT_RESTARTS,
-                   help="random restarts (default 10)")
+                   help="random restarts (default %(default)s)")
     p.add_argument("--tol", type=float, default=grape.DEFAULT_TOL,
-                   help="stop once infidelity drops below this (default 1e-3)")
+                   help="stop once infidelity drops below this (default %(default)s)")
     p.add_argument("--max-iters", type=int, default=grape.DEFAULT_MAX_ITERS,
-                   help="objective evaluations per restart (default 500)")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+                   help="objective evaluations per restart (default %(default)s)")
+    p.add_argument("--seed", type=int, default=0, help="RNG seed (default %(default)s)")
 
 
 def _command(sub, name, func, help, *positionals) -> argparse.ArgumentParser:

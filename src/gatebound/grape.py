@@ -160,7 +160,6 @@ def _infidelity_and_gradient(H0, Hk, U_target, amplitudes, dt):
     np.matmul(vecs, G, out=F)
     np.matmul(F, Vh, out=G)
     # Re tr(G_j H_k) for Hermitian H_k is the dot product of the two as real vectors
-    Hk = np.ascontiguousarray(Hk, dtype=complex)
     grad = -(G.view(float).reshape(N, -1) @ Hk.view(float).reshape(len(Hk), -1).T)
     return infid, grad
 

@@ -165,7 +165,6 @@ def commutator(p: PauliString, q: PauliString) -> PauliString | None:
 
     For phase-0 Hermitian words the phase is always +-i.
     """
-    _check_same_n(p, q)
     if commutes(p, q):
         return None
     return multiply(p, q)  # [P,Q] = PQ - QP = 2 PQ when anticommuting
@@ -173,7 +172,6 @@ def commutator(p: PauliString, q: PauliString) -> PauliString | None:
 
 def hs_norm_commutator(p: PauliString, q: PauliString) -> float:
     """Hilbert-Schmidt norm of [P, Q]: 0 or 2*sqrt(2**n) exactly."""
-    _check_same_n(p, q)
     if commutes(p, q):
         return 0.0
     half, odd = divmod(p.n, 2)

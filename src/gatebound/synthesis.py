@@ -110,7 +110,7 @@ def check_schedule(net: QubitNetwork, schedule: Schedule) -> None:
     unit 3-vector axis on one of its qubits nor an evolution on a strongest
     coupling of one of its edges, on that entry's axes (alpha on the smaller
     qubit once the edge is read as (min, max)) and with the sign the drift
-    gives (``DomainError``)."""
+    gives, or one whose angle is not finite (``DomainError``)."""
     if schedule.n != net.n:
         raise DimensionError(
             f"schedule on {schedule.n} qubits does not match network of {net.n}"
@@ -138,6 +138,8 @@ def check_schedule(net: QubitNetwork, schedule: Schedule) -> None:
                     f"with sign -sgn(g) only")
         else:
             raise DomainError(f"unknown primitive {prim!r}")
+        if not math.isfinite(prim.angle):
+            raise DomainError(f"angle {prim.angle} is not finite")
 
 
 # ---------------------------------------------------------------------------
@@ -254,17 +256,20 @@ def select_two_body(
 
     The timed evolution runs on the strongest native coupling of the edge;
     zero-time rotations on the two endpoints map it onto (alpha, beta) with
-    the requested sign.  Duration is exactly k/edge_best_coupling.
+    the requested sign.  Duration is exactly k/edge_best_coupling; an edge
+    the network lacks is refused at every k, k = 0 included.
     """
     if sign not in (1, -1):
         raise DomainError("sign must be +1 or -1")
+    if alpha not in AXES or beta not in AXES:
+        raise DomainError("axes must be one of x, y, z")
     u, v = edge
     if u > v:
         u, v = v, u
         alpha, beta = beta, alpha
+    a0, b0, g0 = strongest_couplings(net, (u, v))[0]
     if k == 0.0:
         return Schedule(net.n, ())
-    a0, b0, g0 = strongest_couplings(net, (u, v))[0]
     native_sign = -1 if g0 > 0 else 1  # evolving exp(-i*t*g0*...) for t=k/|g0|
     evo = TwoBodyEvolution(edge=(u, v), alpha=a0, beta=b0,
                            sign=native_sign, angle=k, g_used=g0)

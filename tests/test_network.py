@@ -167,8 +167,11 @@ def test_validation_errors():
         QubitNetwork(n=5, edges={(0, 1): g, (1, 2): g, (0, 2): g, (3, 4): g})
     with pytest.raises(DomainError):  # all-zero tensor
         QubitNetwork(n=2, edges={(0, 1): np.zeros((3, 3))})
-    with pytest.raises(DomainError):  # no edges
+    with pytest.raises(DomainError, match="must be connected"):  # no edges
         QubitNetwork(n=2, edges={})
+    for preset, n in ((ising_chain, 1), (heisenberg_chain, 0)):  # refused by QubitNetwork
+        with pytest.raises(DomainError, match="at least two qubits"):
+            preset(n)
     with pytest.raises(DomainError):  # NaN coupling
         QubitNetwork(n=2, edges={(0, 1): np.full((3, 3), np.nan)})
 

@@ -194,6 +194,8 @@ class TestScheduleUnitary:
         TwoBodyEvolution((0, 2), "z", "z", -1, 0.3, 1.0),  # no such edge
         TwoBodyEvolution((0, 1), "z", "z", 1, 0.3, 1.0),   # drift +ZZ run backwards
         TwoBodyEvolution((0, 1), "z", "z", 1, 0.3, -1.0),  # no -ZZ drift on the edge
+        LocalRotation(0, (0.0, 0.0, 1.0), math.inf),       # non-finite angles
+        TwoBodyEvolution((0, 1), "z", "z", -1, math.nan, 1.0),
         "not a primitive",
     ])
     def test_rejects_bad_primitives(self, prim):

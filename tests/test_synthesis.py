@@ -161,10 +161,14 @@ class TestSelectTwoBody:
 
     def test_unknown_edge_and_negative_angle(self):
         net = uniform_chain(3)
-        with pytest.raises(DomainError):
-            select_two_body(net, (0, 2), "z", "z", 1, 1.0)
+        for k in (1.0, 0.0):
+            with pytest.raises(DomainError, match="no edge"):
+                select_two_body(net, (0, 2), "z", "z", 1, k)
         with pytest.raises(DomainError):
             select_two_body(net, (0, 1), "z", "z", 1, -0.5)
+        for alpha, beta in (("Z", "z"), ("x", "q")):
+            with pytest.raises(DomainError, match="axes"):
+                select_two_body(net, (0, 1), alpha, beta, 1, 0.5)
         with pytest.raises(DomainError, match="sign"):
             select_two_body(net, (0, 1), "z", "z", 2, 0.5)
 
