@@ -97,13 +97,11 @@ class QubitNetwork:
             raise DomainError("the coupling graph must be connected")
         object.__setattr__(self, "edges", edges)
 
-        omega = self.omega
-        if omega is None:
-            omega = np.zeros((self.n, 3))
-        omega = np.asarray(omega, dtype=float)
+        omega = np.array(np.zeros((self.n, 3)) if self.omega is None else self.omega, dtype=float)
         if omega.shape != (self.n, 3):
             raise DomainError(f"omega must have shape ({self.n}, 3)")
-        omega = omega.copy()
+        if not np.all(np.isfinite(omega)):
+            raise DomainError("omega has non-finite splittings")
         omega.setflags(write=False)
         object.__setattr__(self, "omega", omega)
 

@@ -1,11 +1,11 @@
 """Verification: exact unitaries and the two error metrics.
 
-Schedules are simulated qubit-locally, in work arrays allocated once per
-call: each primitive acts on U through its own one or two qubit axes, never
-as a 2**n x 2**n matrix, and a Pauli pair as axis flips and phases.  A
-one-term target is cos(a)*I + i*sin(a)*P; several terms and the drift are
-one dense Pauli sum, guarded against overflow, whose exponential comes from
-an eigendecomposition.  No series is truncated.
+Schedules are simulated qubit-locally in two work arrays, U and one spare:
+each primitive acts on U through its own one or two qubit axes, never as a
+2**n x 2**n matrix, and a Pauli pair updates U in place by axis flips and
+phases.  A one-term target is cos(a)*I + i*sin(a)*P; several terms and the
+drift are one dense Pauli sum, guarded against overflow, whose exponential
+comes from an eigendecomposition.  No series is truncated.
 """
 
 from __future__ import annotations
@@ -42,7 +42,8 @@ def target_unitary(spec) -> np.ndarray:
     _check_cap(spec.n)
     if spec.l == 1:
         ((a, p),) = spec.terms
-        U = (1j * math.sin(a)) * to_matrix(p)
+        U = to_matrix(p)
+        U *= 1j * math.sin(a)
         U.flat[::2 ** spec.n + 1] += math.cos(a)
         return U
     return expi_hermitian(_pauli_sum(spec.n, spec.terms,
@@ -74,17 +75,17 @@ def _on_qubit(U: np.ndarray, q: int, G: np.ndarray, out: np.ndarray) -> np.ndarr
 def unitary_of_schedule(net: QubitNetwork, schedule) -> np.ndarray:
     """Ordered product of primitive exponentials (first primitive acts first),
     raised to the schedule's repeat count.  A local rotation is a 2 x 2
-    matrix on its qubit; exp(i*sign*angle*s_a s_b) applies to U as
-    cos(angle)*U + i*sign*sin(angle)*(s_a on i)(s_b on j)*U, the Pauli pair
-    as U flipped along its x and y factors' axes, times a phase.  The local
-    rotations a qubit receives between two-body evolutions on it are
-    multiplied into one 2 x 2 before they touch U.  ``check_schedule``
-    refuses what the network cannot run before anything is allocated."""
+    matrix on its qubit, applied from U into the spare W; exp(i*sign*angle*
+    s_a s_b) turns U in place into cos(angle)*U + i*sign*sin(angle)*Q with
+    Q = (s_a on i)(s_b on j)*U, U flipped along its x and y factors' axes
+    times a phase, first written into W.  The local rotations a qubit
+    receives between two-body evolutions on it are multiplied into one
+    2 x 2 before they touch U.  ``check_schedule`` refuses what the
+    network cannot run before anything is allocated."""
     _check_cap(schedule.n)
     check_schedule(net, schedule)
-    n = schedule.n
-    U = np.eye(2 ** n, dtype=complex)
-    W, T = np.empty_like(U), np.empty_like(U)
+    U = np.eye(2 ** schedule.n, dtype=complex)
+    W = np.empty_like(U)
     pending = {}  # qubit -> product of its local rotations not yet applied
     for prim in schedule.primitives:
         if isinstance(prim, LocalRotation):
@@ -99,11 +100,11 @@ def unitary_of_schedule(net: QubitNetwork, schedule) -> np.ndarray:
                 if q in pending:
                     U, W = _on_qubit(U, q, pending.pop(q), W), U
             (i, a), (j, b) = sorted(zip(prim.edge, (prim.alpha, prim.beta)))
-            V, W5, T5 = (A.reshape(2 ** i, 2, 2 ** (j - i - 1), 2, -1) for A in (U, W, T))
+            V, W5 = (A.reshape(2 ** i, 2, 2 ** (j - i - 1), 2, -1) for A in (U, W))
             phase = (1j * prim.sign * math.sin(prim.angle)) * _PAIR_PHASE[a, b]
-            np.multiply(V[:, _FLIP[a], :, _FLIP[b]], phase, out=T5)
-            np.add(np.multiply(V, math.cos(prim.angle), out=W5), T5, out=W5)
-            U, W = W, U
+            np.multiply(V[:, _FLIP[a], :, _FLIP[b]], phase, out=W5)
+            U *= math.cos(prim.angle)
+            U += W
     for q, G in pending.items():
         U, W = _on_qubit(U, q, G, W), U
     # a huge repeat count can overflow the rounding of U into inf/nan, which
@@ -146,5 +147,6 @@ def gate_infidelity(U: np.ndarray, V: np.ndarray) -> float:
 
 def unitarity_defect(U: np.ndarray) -> float:
     """||U^dagger U - I||_HS, for sanity checks."""
-    dim = U.shape[0]
-    return float(np.linalg.norm(U.conj().T @ U - np.eye(dim)))
+    D = U.conj().T @ U
+    D.flat[::U.shape[0] + 1] -= 1
+    return float(np.linalg.norm(D))

@@ -71,8 +71,8 @@ class TwoBodyEvolution:
     def __post_init__(self):
         if self.sign not in (1, -1):
             raise DomainError("sign must be +1 or -1")
-        if self.angle < 0:
-            raise DomainError("angle must be >= 0; flip the sign instead")
+        if not 0 <= self.angle < math.inf:  # NaN fails too
+            raise DomainError(f"angle must be finite and >= 0 (flip the sign), got {self.angle}")
         if self.g_used == 0:
             raise DomainError("g_used must be nonzero")
         if self.alpha not in AXES or self.beta not in AXES:
@@ -110,7 +110,7 @@ def check_schedule(net: QubitNetwork, schedule: Schedule) -> None:
     unit 3-vector axis on one of its qubits nor an evolution on a strongest
     coupling of one of its edges, on that entry's axes (alpha on the smaller
     qubit once the edge is read as (min, max)) and with the sign the drift
-    gives, or one whose angle is not finite (``DomainError``)."""
+    gives, or a rotation whose angle is not finite (``DomainError``)."""
     if schedule.n != net.n:
         raise DimensionError(
             f"schedule on {schedule.n} qubits does not match network of {net.n}"
@@ -122,6 +122,8 @@ def check_schedule(net: QubitNetwork, schedule: Schedule) -> None:
                 raise DomainError(f"rotation axis must be a unit 3-vector, got {prim.axis}")
             if not 0 <= prim.qubit < net.n:
                 raise DomainError(f"qubit {prim.qubit} outside 0..{net.n - 1}")
+            if not math.isfinite(prim.angle):  # an evolution's own constructor refuses it
+                raise DomainError(f"angle {prim.angle} is not finite")
         elif isinstance(prim, TwoBodyEvolution):
             strongest = strongest_couplings(net, prim.edge)  # raises on unknown edges
             g_used, (u, v) = prim.g_used, prim.edge
@@ -138,8 +140,6 @@ def check_schedule(net: QubitNetwork, schedule: Schedule) -> None:
                     f"with sign -sgn(g) only")
         else:
             raise DomainError(f"unknown primitive {prim!r}")
-        if not math.isfinite(prim.angle):
-            raise DomainError(f"angle {prim.angle} is not finite")
 
 
 # ---------------------------------------------------------------------------

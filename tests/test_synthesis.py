@@ -75,6 +75,15 @@ class TestScheduleType:
         with pytest.raises(DomainError, match="g_used"):
             TwoBodyEvolution((0, 1), "z", "z", 1, 1.0, 0.0)
 
+    @pytest.mark.parametrize("angle", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_angle_is_refused_when_built(self, angle):
+        # check_schedule no longer looks at an evolution's angle; the
+        # constructor is the one guard, on every path that makes one
+        with pytest.raises(DomainError, match="must be finite"):
+            TwoBodyEvolution((0, 1), "z", "z", -1, angle, 1.0)
+        with pytest.raises(DomainError, match="must be finite"):
+            replace(TwoBodyEvolution((0, 1), "z", "z", -1, 0.3, 1.0), angle=angle)
+
     def test_json_round_trip(self, tmp_path):
         net = uniform_chain(3)
         s = synth_pauli_term(net, 0.7, parse_pauli("ZYX"))
@@ -117,6 +126,12 @@ class TestSelectTwoBody:
         net = uniform_chain(2)
         s = select_two_body(net, (0, 1), "z", "z", 1, 0.0)
         assert s.primitives == () and s.total_duration == 0.0
+
+    @pytest.mark.parametrize("k", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_k_is_refused(self, k):
+        # formerly a schedule whose total_duration was nan or inf
+        with pytest.raises(DomainError, match="must be finite"):
+            select_two_body(uniform_chain(3), (0, 1), "z", "z", 1, k)
 
     def test_native_axis_negative_angle_example(self):
         # native ZZ with g = 1: exp(-i*(pi/4)*ZZ) takes time pi/4
