@@ -379,7 +379,10 @@ def poly_membership(spec: GeneratorSpec, degree_budget: float) -> PolyMembership
     if not (math.isfinite(degree_budget) and degree_budget >= 0):
         raise DomainError(f"degree budget must be finite and >= 0, got {degree_budget}")
     l, ai = spec.l, spec.norm_inf
-    cap = float(n) ** degree_budget
+    try:
+        cap = float(n) ** degree_budget
+    except OverflowError:  # past the largest float, which every finite l and |a|_inf fit under
+        cap = math.inf
     member = l <= cap and ai <= cap
     l_exp = math.log(l) / math.log(n)
     a_exp = max(0.0, math.log(ai) / math.log(n))

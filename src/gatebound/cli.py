@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import errno
 import math
 import os
@@ -86,7 +87,7 @@ def cmd_depth(args) -> int:
         payload = {
             "n": table.n,
             "max_depth": table.max_depth,
-            "per_weight": {str(w): d for w, d in sorted(table.per_weight.items())},
+            "per_weight": table.per_weight,
         }
     elif args.pauli is None:
         raise ParseError("give a Pauli word or --table")
@@ -100,11 +101,8 @@ def cmd_depth(args) -> int:
             "pauli": args.pauli,
             "local": False,
             "depth": result.depth,
-            "start_edge": list(result.start_edge),
-            "witness": [
-                {"kind": s.kind, "edge": list(s.edge), "vertex": s.vertex}
-                for s in result.witness
-            ],
+            "start_edge": result.start_edge,
+            "witness": [dataclasses.asdict(step) for step in result.witness],
         }
     _write_json(payload, args.output)
     return EXIT_OK

@@ -99,7 +99,7 @@ def unitary_of_schedule(net: QubitNetwork, schedule) -> np.ndarray:
             for q in prim.edge:
                 if q in pending:
                     U, W = _on_qubit(U, q, pending.pop(q), W), U
-            (i, a), (j, b) = sorted(zip(prim.edge, (prim.alpha, prim.beta)))
+            (i, j), a, b = prim.edge, prim.alpha, prim.beta
             V, W5 = (A.reshape(2 ** i, 2, 2 ** (j - i - 1), 2, -1) for A in (U, W))
             phase = (1j * prim.sign * math.sin(prim.angle)) * _PAIR_PHASE[a, b]
             np.multiply(V[:, _FLIP[a], :, _FLIP[b]], phase, out=W5)

@@ -52,13 +52,24 @@ class LocalRotation:
         return 0.0
 
 
+def _oriented(edge, alpha: str, beta: str, sign: int):
+    """(edge as (min, max), alpha, beta), each axis kept on its own qubit; a
+    sign other than +-1 or an axis label outside x, y, z is a ``DomainError``."""
+    if sign not in (1, -1):
+        raise DomainError("sign must be +1 or -1")
+    if alpha not in AXES or beta not in AXES:
+        raise DomainError("axes must be one of x, y, z")
+    u, v = edge
+    return ((u, v), alpha, beta) if u <= v else ((v, u), beta, alpha)
+
+
 @dataclass(frozen=True)
 class TwoBodyEvolution:
-    """Timed evolution exp(i*sign*angle*s_alpha s_beta) on one edge.
-
-    ``duration = angle / |g_used|`` with g_used the native coupling the
-    evolution runs on (the strongest entry of the edge tensor); the drift
-    runs it forward only, so sign = -sgn(g_used).
+    """Timed evolution exp(i*sign*angle*s_alpha s_beta) on one edge, stored
+    as (min, max) with alpha on its smaller qubit whichever way it is given.
+    ``duration = angle / |g_used|`` with g_used the native coupling it runs
+    on (the strongest entry of the edge tensor); the drift runs it forward
+    only, so sign = -sgn(g_used).
     """
 
     edge: tuple[int, int]
@@ -69,14 +80,13 @@ class TwoBodyEvolution:
     g_used: float
 
     def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise DomainError("sign must be +1 or -1")
+        for name, value in zip(("edge", "alpha", "beta"),
+                               _oriented(self.edge, self.alpha, self.beta, self.sign)):
+            object.__setattr__(self, name, value)
         if not 0 <= self.angle < math.inf:  # NaN fails too
             raise DomainError(f"angle must be finite and >= 0 (flip the sign), got {self.angle}")
         if self.g_used == 0:
             raise DomainError("g_used must be nonzero")
-        if self.alpha not in AXES or self.beta not in AXES:
-            raise DomainError("axes must be one of x, y, z")
 
     @property
     def duration(self) -> float:
@@ -108,9 +118,8 @@ def check_schedule(net: QubitNetwork, schedule: Schedule) -> None:
     """Refuse a schedule the network cannot run: one on another qubit count
     (``DimensionError``), or a primitive that is neither a rotation about a
     unit 3-vector axis on one of its qubits nor an evolution on a strongest
-    coupling of one of its edges, on that entry's axes (alpha on the smaller
-    qubit once the edge is read as (min, max)) and with the sign the drift
-    gives, or a rotation whose angle is not finite (``DomainError``)."""
+    coupling of one of its edges, on that entry's axes and with the sign the
+    drift gives, or a rotation whose angle is not finite (``DomainError``)."""
     if schedule.n != net.n:
         raise DimensionError(
             f"schedule on {schedule.n} qubits does not match network of {net.n}"
@@ -126,11 +135,10 @@ def check_schedule(net: QubitNetwork, schedule: Schedule) -> None:
                 raise DomainError(f"angle {prim.angle} is not finite")
         elif isinstance(prim, TwoBodyEvolution):
             strongest = strongest_couplings(net, prim.edge)  # raises on unknown edges
-            g_used, (u, v) = prim.g_used, prim.edge
-            axes = (prim.alpha, prim.beta) if u < v else (prim.beta, prim.alpha)
+            g_used = prim.g_used
             # the drift term g*s_a s_b only ever runs as exp(-i*t*g*s_a s_b)
             if (not (math.isfinite(g_used) and any(
-                    (a, b) == axes and abs(g - g_used) <= 1e-9 * abs(g_used)
+                    (a, b) == (prim.alpha, prim.beta) and abs(g - g_used) <= 1e-9 * abs(g_used)
                     for a, b, g in strongest))
                     or prim.sign != (-1 if g_used > 0 else 1)):
                 raise DomainError(
@@ -259,14 +267,7 @@ def select_two_body(
     the requested sign.  Duration is exactly k/edge_best_coupling; an edge
     the network lacks is refused at every k, k = 0 included.
     """
-    if sign not in (1, -1):
-        raise DomainError("sign must be +1 or -1")
-    if alpha not in AXES or beta not in AXES:
-        raise DomainError("axes must be one of x, y, z")
-    u, v = edge
-    if u > v:
-        u, v = v, u
-        alpha, beta = beta, alpha
+    (u, v), alpha, beta = _oriented(edge, alpha, beta, sign)
     a0, b0, g0 = strongest_couplings(net, (u, v))[0]
     if k == 0.0:
         return Schedule(net.n, ())

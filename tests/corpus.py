@@ -35,6 +35,8 @@ from gatebound.cli import main
 from gatebound.network import network_from_dict
 from gatebound.synthesis import schedule_to_dict, synth_generator
 
+from helpers import vu_listing
+
 SEED = 2017
 NETWORKS = 40
 MANIFEST = Path(__file__).with_name("corpus_manifest.json")
@@ -119,13 +121,6 @@ def _schedule(net: dict, target: list, epsilon: float) -> dict:
     return schedule_to_dict(schedule)
 
 
-def _reversed_listing(schedule: dict) -> dict:
-    """Every evolution's edge and axes listed the other way round."""
-    prims = [dict(p, edge=p["edge"][::-1], alpha=p["beta"], beta=p["alpha"])
-             if p["kind"] == "two_body" else p for p in schedule["primitives"]]
-    return dict(schedule, primitives=prims)
-
-
 def _one_fault(schedule: dict, fault: int) -> dict:
     """The schedule with its first evolution given the wrong sign, a coupling
     no entry has, or its axes swapped on the same edge."""
@@ -149,7 +144,8 @@ def _network_records(rng, idx: int) -> dict:
     def with_schedule(schedule):
         return dict(files, **{"s.json": _text(schedule)})
 
-    verify_multi = ("verify", "net.json", "multi.json", "--epsilon", "0.05", "--schedule", "s.json")
+    verify_multi = ("verify", "net.json", "multi.json", "--epsilon", "0.05",
+                    "--schedule", "s.json")
     return {
         "bound-one": Record(files, ("bound", "net.json", "one.json", "--epsilon", "0.05")),
         "bound-multi": Record(files, ("bound", "net.json", "multi.json", "--epsilon", "0.05")),
@@ -161,10 +157,10 @@ def _network_records(rng, idx: int) -> dict:
         "verify-one": Record(files, ("verify", "net.json", "one.json", "--epsilon", "0.05"),
                              True),
         "verify-multi-schedule": Record(with_schedule(s_multi), verify_multi, True),
-        "verify-multi-schedule-vu": Record(with_schedule(_reversed_listing(s_multi)),
+        "verify-multi-schedule-vu": Record(with_schedule(vu_listing(s_multi)),
                                            verify_multi, True),
         "verify-one-schedule-vu": Record(
-            with_schedule(_reversed_listing(s_one)),
+            with_schedule(vu_listing(s_one)),
             ("verify", "net.json", "one.json", "--epsilon", "0.05", "--schedule", "s.json"),
             True),
         "verify-other-schedule": Record(
@@ -174,7 +170,7 @@ def _network_records(rng, idx: int) -> dict:
         f"refused-fault{fault}-uv": Record(with_schedule(_one_fault(s_multi, fault)),
                                            verify_multi, True),
         f"refused-fault{fault}-vu": Record(
-            with_schedule(_reversed_listing(_one_fault(s_multi, fault))), verify_multi, True),
+            with_schedule(vu_listing(_one_fault(s_multi, fault))), verify_multi, True),
         "depth-word": Record(files, ("depth", "net.json", _word(rng, n, 2), "-o", "d.json")),
         "depth-any-word": Record(files, ("depth", "net.json", _word(rng, n, 1))),
         "depth-table": Record(files, ("depth", "net.json", "--table", "-o", "t.json")),

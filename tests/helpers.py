@@ -7,9 +7,9 @@ sets, the lexicographic subset search finds depths and witnesses by
 breadth-first search instead of from Steiner trees, words are parsed one
 character at a time, and the schedule reference applies each Pauli of a
 two-body step as a 2 x 2 matmul instead of as flips.  The JSON writers of
-a network and a generator and the step-by-step witness replay live here
-too: the package reads those forms and builds witnesses, but only the
-tests need them written back or replayed.
+a network and a generator, a schedule's (v, u) listing and the step-by-step
+witness replay live here too: the package reads those forms and builds
+witnesses, but only the tests need them written back or replayed.
 """
 
 from __future__ import annotations
@@ -227,6 +227,14 @@ def network_to_dict(net: QubitNetwork) -> dict:
         ],
         "omega": net.omega.tolist(),
     }
+
+
+def vu_listing(schedule: dict) -> dict:
+    """A schedule's JSON form with every evolution's edge and axes listed the
+    other way round: (v, u) with beta, alpha for (u, v) with alpha, beta."""
+    prims = [dict(p, edge=p["edge"][::-1], alpha=p["beta"], beta=p["alpha"])
+             if p["kind"] == "two_body" else p for p in schedule["primitives"]]
+    return dict(schedule, primitives=prims)
 
 
 def random_connected_network(rng, n: int, extra_edges: int = 1,

@@ -534,6 +534,10 @@ class TestPolyMembership:
         rep = poly_membership(s, 2.0)
         assert rep.member
         assert rep.scaling_exponent == pytest.approx(4.0)
+        # 10.0**400 overflows a float: the cap is +inf, and every finite l fits
+        s = spec_of((1.0, "XXXXXXXXXX"), (0.5, "ZIIIIIIIII"))
+        for budget in (400.0, 1e6):
+            assert poly_membership(s, budget).member
 
     def test_exponential_class(self):
         n = 2

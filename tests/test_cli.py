@@ -19,9 +19,9 @@ from gatebound.bounds import load_spec
 from gatebound.cli import main
 from gatebound.network import load_network
 from gatebound.pauli import PauliString, format_pauli
-from gatebound.synthesis import load_schedule, save_schedule, synth_generator
+from gatebound.synthesis import load_schedule, save_schedule, schedule_to_dict, synth_generator
 
-from helpers import random_connected_network, random_spec, replay_witness
+from helpers import random_connected_network, random_spec, replay_witness, vu_listing
 
 THREE_PATH = {
     "n": 3,
@@ -963,6 +963,26 @@ def test_reversed_edge_listing_synthesizes_and_verifies_the_same(tmp_path, capsy
             assert main(["verify", *common, "--schedule", str(schedule)]) == 0
             assert main(["verify", *common]) == 0
             outputs.append((schedule.read_bytes(), capsys.readouterr().out))
+        assert outputs[0] == outputs[1]
+
+
+def test_a_certificate_listed_v_u_verifies_to_the_same_bytes(tmp_path, capsys):
+    # evolutions are stored as (min, max), so the listing order of an edge and
+    # its axes cannot move the simulated unitary, not even in its last bits
+    rng = np.random.default_rng(89)
+    graph, target, schedule = (tmp_path / name for name in ("net.json", "t.json", "s.json"))
+    for n in (3, 4, 5, 6, 3, 4, 5, 6):
+        net = random_connected_network(rng, n, extra_edges=1, entries_per_edge=4)
+        spec = random_spec(rng, n, 2, min_weight=2)
+        graph.write_text(json.dumps({"n": n, "edges": _edge_list(net, False)}))
+        target.write_text(json.dumps([{"coeff": a, "pauli": str(w)} for a, w in spec.terms]))
+        certificate = schedule_to_dict(synth_generator(net, spec, 0.05)[0])
+        outputs = []
+        for listing in (certificate, vu_listing(certificate)):
+            schedule.write_text(json.dumps(listing))
+            assert main(["verify", str(graph), str(target), "--epsilon", "0.05",
+                         "--schedule", str(schedule)]) == 0
+            outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
 
 

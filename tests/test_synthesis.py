@@ -84,6 +84,14 @@ class TestScheduleType:
         with pytest.raises(DomainError, match="must be finite"):
             replace(TwoBodyEvolution((0, 1), "z", "z", -1, 0.3, 1.0), angle=angle)
 
+    def test_an_evolution_listed_either_way_round_is_one_evolution(self):
+        # stored as (min, max) with each axis on its own qubit, as edges are
+        vu = TwoBodyEvolution((1, 0), "x", "z", -1, 0.5, 1.0)
+        uv = TwoBodyEvolution((0, 1), "z", "x", -1, 0.5, 1.0)
+        assert vu == uv
+        assert (json.dumps(schedule_to_dict(Schedule(2, (vu,))))
+                == json.dumps(schedule_to_dict(Schedule(2, (uv,)))))
+
     def test_json_round_trip(self, tmp_path):
         net = uniform_chain(3)
         s = synth_pauli_term(net, 0.7, parse_pauli("ZYX"))
