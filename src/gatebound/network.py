@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
 from math import isfinite, pi
 from sys import float_info
 
@@ -66,6 +67,7 @@ class QubitNetwork:
     edges: dict[tuple[int, int], np.ndarray]
     omega: np.ndarray = None
     control_model: str = "full_local"
+    couplings: np.ndarray = field(init=False, repr=False)  # (E, 3, 3), edges in input order
     # each qubit's neighbours, sorted
     adjacency: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
 
@@ -74,28 +76,34 @@ class QubitNetwork:
             raise DomainError("a network needs at least two qubits")
         if self.control_model not in CONTROL_MODELS:
             raise DomainError(f"unknown control model {self.control_model!r}")
-        edges = {}
-        for (i, j), g in self.edges.items():
+        keys = {}  # canonical edge -> the listing it came as, in input order
+        for i, j in self.edges:
             if i == j:
                 raise DomainError(f"self-loop on qubit {i}")
             if not (0 <= i < self.n and 0 <= j < self.n):
                 raise DomainError(f"edge ({i},{j}) outside 0..{self.n - 1}")
-            tensor = np.asarray(g, dtype=float)
-            if tensor.shape != (3, 3):
-                raise DomainError(f"edge ({i},{j}) coupling tensor is not 3x3")
-            if not np.all(np.isfinite(tensor)):
-                raise DomainError(f"edge ({i},{j}) has non-finite couplings")
-            if not np.any(tensor):
-                raise DomainError(f"edge ({i},{j}) has all-zero couplings")
-            key = canonical_edge(i, j)
-            if key in edges:
-                raise DomainError(f"edge {key} is given twice")
-            tensor = (tensor if i < j else tensor.T).copy()
-            tensor.setflags(write=False)
-            edges[key] = tensor
-        if len(edges) < self.n - 1:  # refused before n sizes anything
+            if keys.setdefault(canonical_edge(i, j), (i, j)) != (i, j):
+                raise DomainError(f"edge {canonical_edge(i, j)} is given twice")
+        if len(keys) < self.n - 1:  # refused before n sizes anything
             raise DomainError("the coupling graph must be connected")
-        object.__setattr__(self, "edges", edges)
+        try:
+            couplings = np.array(list(self.edges.values()), dtype=float)
+        except ValueError:  # unequal shapes; a non-number raises again below
+            couplings = None
+        if couplings is None or couplings.shape[1:] != (3, 3):
+            for (i, j), g in self.edges.items():
+                if np.shape(g) != (3, 3):
+                    raise DomainError(f"edge ({i},{j}) coupling tensor is not 3x3")
+            couplings = np.array(list(self.edges.values()), dtype=float)
+        for fault, bad in (("has non-finite couplings", ~np.isfinite(couplings).all(axis=(1, 2))),
+                           ("has all-zero couplings", ~couplings.any(axis=(1, 2)))):
+            if bad.any():
+                raise DomainError("edge ({},{}) {}".format(*list(self.edges)[bad.argmax()], fault))
+        flipped = [i > j for i, j in self.edges]
+        couplings[flipped] = couplings[flipped].transpose(0, 2, 1)
+        couplings.setflags(write=False)
+        object.__setattr__(self, "couplings", couplings)
+        object.__setattr__(self, "edges", dict(zip(keys, couplings)))
 
         omega = np.array(np.zeros((self.n, 3)) if self.omega is None else self.omega, dtype=float)
         if omega.shape != (self.n, 3):
@@ -106,7 +114,7 @@ class QubitNetwork:
         object.__setattr__(self, "omega", omega)
 
         adjacency = [[] for _ in range(self.n)]
-        for (i, j) in edges:
+        for (i, j) in self.edges:
             adjacency[i].append(j)
             adjacency[j].append(i)
         adjacency = tuple(tuple(sorted(nbrs)) for nbrs in adjacency)
@@ -130,10 +138,8 @@ def min_coupling(net: QubitNetwork) -> float:
     Zero entries are absent interaction terms, not infinitely slow ones, so
     they are excluded from the minimum.
     """
-    smallest = min(
-        abs(v) for g in net.edges.values() for v in g.flat if v != 0.0
-    )
-    return float(smallest)
+    magnitudes = np.abs(net.couplings)
+    return float(magnitudes[magnitudes != 0].min())
 
 
 def strongest_couplings(net: QubitNetwork, edge: tuple[int, int]) -> list:
@@ -188,7 +194,7 @@ def star(n: int, J: float = 1.0) -> QubitNetwork:
     g = np.zeros((3, 3))
     g[0, 0] = J
     g[1, 1] = J
-    edges = {(0, k): g.copy() for k in range(1, n)}
+    edges = {(0, k): g for k in range(1, n)}
     omega = np.zeros((n, 3))
     omega[1:, 1] = J
     return QubitNetwork(n=n, edges=edges, omega=omega, control_model="star_reduced")
@@ -235,19 +241,25 @@ def network_from_dict(data: dict) -> QubitNetwork:
     try:
         n = json_int(data["n"])
         raw_edges = list(data["edges"])
-        omega = None if data.get("omega") is None else _json_floats(data["omega"])
+        omega = data.get("omega")
+        if omega is not None and not _numbers([omega]):
+            raise ValueError(f"omega {omega!r} is not nested lists of numbers")
     except (KeyError, TypeError, ValueError):
         raise ParseError("network JSON needs integer 'n', 'edges', numeric 'omega'") from None
     edges = {}
     for entry in raw_edges:
         try:
             edge = (json_int(entry["i"]), json_int(entry["j"]))
-            g = _json_floats(entry["g"])
+            g = entry["g"]
         except (KeyError, TypeError, ValueError):
             raise ParseError(f"malformed edge entry {entry!r}") from None
         if edge in edges:
             raise DomainError(f"edge {canonical_edge(*edge)} is given twice")
         edges[edge] = g
+    if not _numbers(list(edges.values())):  # name the first malformed entry, if one is
+        for entry in raw_edges:
+            if not _numbers([entry["g"]]):
+                raise ParseError(f"malformed edge entry {entry!r}")
     model = data.get("control_model", "full_local")
     return QubitNetwork(n=n, edges=edges, omega=omega, control_model=model)
 
@@ -266,11 +278,15 @@ def json_number(value) -> float:
     return float(value)
 
 
-def _json_floats(value) -> np.ndarray:
-    """Nested lists of JSON numbers as a float array, else a ``ValueError``."""
-    leaves = np.asarray(value, dtype=object)
-    return np.array([v if type(v) is float else json_number(v) for v in leaves.flat],
-                    dtype=float).reshape(leaves.shape)  # JSON floats are finite as read
+def _numbers(values: list) -> bool:
+    """Whether the items are JSON numbers in the float range, or lists of one
+    length nested to one depth whose leaves are; one pass per depth over all."""
+    while (kinds := set(map(type, values))) == {list}:
+        if len(set(map(len, values))) > 1:
+            return False
+        values = list(chain.from_iterable(values))
+    ints = [v for v in values if type(v) is int] if int in kinds else ()
+    return kinds <= {int, float} and max(map(abs, ints), default=0) <= float_info.max
 
 
 def _finite_float(text: str) -> float:

@@ -111,6 +111,17 @@ def test_too_few_edges_are_refused_before_n_sizes_anything():
     assert peak < 1 << 20
 
 
+def test_faults_on_two_edges_report_the_first_check_that_fails_on_any_edge():
+    # each check runs over every edge before the next check: an all-zero
+    # tensor listed first and a non-finite one listed second report the
+    # non-finite one, and a self-loop listed last is found before either
+    zero, nan = np.zeros((3, 3)), np.full((3, 3), np.nan)
+    with pytest.raises(DomainError, match=r"^edge \(2,1\) has non-finite couplings$"):
+        QubitNetwork(n=3, edges={(0, 1): zero, (2, 1): nan})
+    with pytest.raises(DomainError, match=r"^self-loop on qubit 2$"):
+        QubitNetwork(n=3, edges={(0, 1): zero, (1, 2): np.eye(3), (2, 2): np.eye(3)})
+
+
 def test_a_preset_n_above_the_cap_is_refused_before_anything_is_built():
     # a preset builds n - 1 edges from one number; n = 100,000 once took 7.9 s
     tracemalloc.start()
@@ -245,6 +256,24 @@ class TestEdgeOrientation:
             assert list(rev.edges) == list(net.edges)
             for edge, g in net.edges.items():
                 assert np.array_equal(rev.edges[edge], g)
+            # one read-only (E, 3, 3) array, rows in input order, each row
+            # the memory its edge's tensor reads; a (v, u) row is transposed
+            for network in (net, rev):
+                couplings = network.couplings
+                assert couplings.shape == (len(net.edges), 3, 3)
+                assert not couplings.flags.writeable
+                with pytest.raises(ValueError):
+                    couplings[0, 0, 0] = 1.0
+                for row, g in zip(couplings, network.edges.values()):
+                    assert np.shares_memory(row, g)
+            assert np.array_equal(rev.couplings, net.couplings)
+            assert np.array_equal(reversed_listing(rev).couplings, net.couplings)
+            # every other edge listed (v, u), in reverse order
+            mixed = QubitNetwork(n=n, edges={(j, i) if k % 2 else (i, j): g.T if k % 2 else g
+                                             for k, ((i, j), g) in enumerate(
+                                                 reversed(net.edges.items()))})
+            assert list(mixed.edges) == list(reversed(net.edges))
+            assert np.array_equal(mixed.couplings, net.couplings[::-1])
             assert np.array_equal(drift_matrix(rev), drift_matrix(net))
             assert network_to_dict(rev) == network_to_dict(net)
             for _ in range(4):
@@ -252,6 +281,9 @@ class TestEdgeOrientation:
                 a = float(rng.uniform(-2, 2))
                 assert (dump_json(schedule_to_dict(synth_pauli_term(rev, a, word)))
                         == dump_json(schedule_to_dict(synth_pauli_term(net, a, word))))
+        for preset in (ising_chain(5), heisenberg_chain(5), star(5)):  # one tensor, every row
+            assert preset.couplings.shape == (4, 3, 3)
+            assert (preset.couplings == preset.couplings[0]).all()
 
     def test_a_pair_given_twice_is_a_domain_error(self):
         g = np.eye(3)
