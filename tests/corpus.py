@@ -11,7 +11,8 @@ design, rewrite the manifest with
 
     PYTHONPATH=src python tests/corpus.py --write
 
-and name every record that moved, and why, in CHANGES.md.
+which prints the ids of the records whose hash it changed; name each, and
+why it moved, in CHANGES.md.
 
 Inputs draw only on ``random.Random.random``, whose stream Python keeps
 fixed across versions for an integer seed.
@@ -361,11 +362,24 @@ def hashes() -> dict[str, str]:
     return {key: run(record) for key, record in records().items()}
 
 
-def write_manifest() -> None:
-    MANIFEST.write_text(json.dumps(hashes(), indent=0, sort_keys=True) + "\n")
+def moved(got: dict[str, str]) -> list[str]:
+    """Ids of the records whose hash in ``got`` differs from the manifest's,
+    or that only one of the two has, sorted."""
+    expected = json.loads(MANIFEST.read_text())
+    return sorted(key for key in expected.keys() | got.keys()
+                  if expected.get(key) != got.get(key))
+
+
+def write_manifest() -> list[str]:
+    """Rewrite the manifest from this tree's runs; the ids whose hash it changed."""
+    got = hashes()
+    changed = moved(got)
+    MANIFEST.write_text(json.dumps(got, indent=0, sort_keys=True) + "\n")
+    return changed
 
 
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: PYTHONPATH=src python tests/corpus.py --write")
-    write_manifest()
+    changed = write_manifest()
+    print(f"{len(changed)} records moved", *changed, sep="\n")
