@@ -200,7 +200,7 @@ def schedule_from_dict(data: dict) -> Schedule:
                 ))
             else:
                 raise ParseError(f"unknown primitive kind {kind!r}")
-        except ParseError:
+        except (ParseError, DomainError):  # a parsed evolution the constructor refuses
             raise
         except (KeyError, TypeError, ValueError, IndexError):
             raise ParseError(f"malformed primitive {entry!r}") from None

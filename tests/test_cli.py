@@ -708,6 +708,26 @@ def test_malformed_primitive_is_a_parse_error(three_path, zzz_target, tmp_path, 
     assert _one_line_error(capsys).startswith("parse error: ")
 
 
+@pytest.mark.parametrize("mutate, message", [
+    (_set_first("two_body", "angle", -0.5),
+     "angle must be finite and >= 0 (flip the sign), got -0.5"),
+    (_set_first("two_body", "g_used", 0.0), "g_used must be nonzero"),
+    (_set_first("two_body", "alpha", "Z"), "axes must be one of x, y, z"),
+], ids=["negative-angle", "zero-coupling", "label-Z"])
+def test_evolution_outside_its_domain_exits_3_with_its_reason(three_path, zzz_target, tmp_path,
+                                                              capsys, mutate, message):
+    # each once exited 2 as a malformed primitive, its reason lost
+    schedule = tmp_path / "s.json"
+    assert main(["synth", three_path, zzz_target, "--epsilon", "0.05", "-o", str(schedule)]) == 0
+    data = json.loads(schedule.read_text())
+    mutate(data)
+    schedule.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", three_path, zzz_target, "--epsilon", "0.05",
+                 "--schedule", str(schedule)]) == 3
+    assert _one_line_error(capsys) == f"domain error: {message}\n"
+
+
 def test_unknown_primitive_kind_is_named(three_path, zzz_target, tmp_path, capsys):
     schedule = tmp_path / "s.json"
     assert main(["synth", three_path, zzz_target, "--epsilon", "0.05", "-o", str(schedule)]) == 0
