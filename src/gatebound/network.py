@@ -3,9 +3,10 @@
 A network is an undirected connected graph whose vertices are qubits.
 Every edge (i, j) carries a real 3x3 tensor ``g[a][b]`` coupling axis a on
 qubit i to axis b on qubit j (angular frequency units), and every qubit
-carries a 3-vector of energy splittings.  An edge may be given either way
-round; it is stored as (min, max), with g transposed when i > j, and a pair
-given twice is a ``DomainError``.  Two control models are tagged:
+carries a 3-vector of energy splittings.  The tensors are stored once, as
+one read-only (E, 3, 3) array in input order.  An edge may be given either
+way round; it is stored as (min, max), with g transposed when i > j, and a
+pair given twice is a ``DomainError``.  Two control models are tagged:
 
 * ``full_local``  -- two unconstrained orthogonal controls per qubit,
 * ``star_reduced`` -- x/y controls on the hub plus one z control per leaf.
@@ -243,7 +244,7 @@ def network_from_dict(data: dict) -> QubitNetwork:
         raw_edges = list(data["edges"])
         omega = data.get("omega")
         if omega is not None and not _numbers([omega]):
-            raise ValueError(f"omega {omega!r} is not nested lists of numbers")
+            raise ValueError("omega is not nested lists of numbers")
     except (KeyError, TypeError, ValueError):
         raise ParseError("network JSON needs integer 'n', 'edges', numeric 'omega'") from None
     edges = {}

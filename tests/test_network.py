@@ -262,12 +262,9 @@ class TestEdgeOrientation:
                 couplings = network.couplings
                 assert couplings.shape == (len(net.edges), 3, 3)
                 assert not couplings.flags.writeable
-                with pytest.raises(ValueError):
-                    couplings[0, 0, 0] = 1.0
                 for row, g in zip(couplings, network.edges.values()):
                     assert np.shares_memory(row, g)
             assert np.array_equal(rev.couplings, net.couplings)
-            assert np.array_equal(reversed_listing(rev).couplings, net.couplings)
             # every other edge listed (v, u), in reverse order
             mixed = QubitNetwork(n=n, edges={(j, i) if k % 2 else (i, j): g.T if k % 2 else g
                                              for k, ((i, j), g) in enumerate(
