@@ -1,7 +1,7 @@
 """Parity corpus: seeded ``gatebound`` runs whose output bytes are pinned.
 
 Each record is one ``cli.main`` run in a fresh directory on input files made
-here from one fixed seed.  Its sha256 covers the exit code, stdout, stderr
+here from fixed seeds.  Its sha256 covers the exit code, stdout, stderr
 and every file the run wrote.  Only bytes that do not depend on the platform
 go in: ``bound``, ``depth``, ``synth``, the error paths, and ``verify``'s
 verdict and exit code; ``verify``'s error floats and all of ``grape`` come
@@ -40,6 +40,9 @@ from helpers import vu_listing
 
 SEED = 2017
 NETWORKS = 40
+WIDE_SEED = 2018  # a stream of its own, so adding these moved no other input
+WIDE = (("chain", 7), ("random", 8), ("chain", 9), ("random", 9), ("chain", 10),
+        ("random", 10))
 MANIFEST = Path(__file__).with_name("corpus_manifest.json")
 
 
@@ -209,6 +212,33 @@ def _grid_records(rng, rows: int, cols: int) -> dict:
     }
 
 
+def _wide_records(rng) -> dict:
+    """``verify --schedule`` of one full-support word on 7 to 10 qubits, more
+    than any other record simulates; every other schedule is listed (v, u),
+    and the 8-qubit target has a second term that anticommutes with it."""
+    out = {}
+    for idx, (kind, n) in enumerate(WIDE):
+        if kind == "chain":
+            coarse = rng.random() < 0.5
+            net = {"n": n, "edges": [_listed(rng, k, k + 1, _tensor(rng, coarse))
+                                     for k in range(n - 1)]}
+        else:
+            net = _random_network(rng, n)
+        target = [{"coeff": _coeff(rng), "pauli": "".join("XYZ"[_below(rng, 3)]
+                                                          for _ in range(n))}]
+        while n == 8 and len(target) == 1:  # a second term that anticommutes
+            word = _word(rng, n, 1)
+            if sum("I" != a != b != "I" for a, b in zip(word, target[0]["pauli"])) % 2:
+                target.append({"coeff": _coeff(rng), "pauli": word})
+        schedule = _schedule(net, target, 0.05)
+        files = {"net.json": _text(net), "one.json": _text(target),
+                 "s.json": _text(vu_listing(schedule) if idx % 2 else schedule)}
+        out[f"{kind}{n}/verify-schedule"] = Record(
+            files, ("verify", "net.json", "one.json", "--epsilon", "0.05",
+                    "--schedule", "s.json"), True)
+    return out
+
+
 def _preset_records() -> dict:
     out = {}
     for kind in ("ising_chain", "heisenberg_chain", "star"):
@@ -330,6 +360,8 @@ def records() -> dict[str, Record]:
     for rows, cols in ((2, 2), (2, 3), (3, 3)):
         for key, record in _grid_records(rng, rows, cols).items():
             out[f"grid{rows}x{cols}/{key}"] = record
+    out.update((f"wide/{key}", record)
+               for key, record in _wide_records(random.Random(WIDE_SEED)).items())
     out.update(_preset_records())
     out.update((f"error/{key}", record) for key, record in _error_records().items())
     return out
