@@ -181,9 +181,9 @@ def hs_norm_commutator(p: PauliString, q: PauliString) -> float:
         raise DomainError(f"the commutator norm on {p.n} qubits overflows a float") from None
 
 
-def to_matrix(p: PauliString) -> np.ndarray:
-    """Dense 2**n x 2**n matrix; with the masks as index bits, qubit 0 the most
-    significant, column r holds i**(phase + #Y) * (-1)**popcount(r & z) at row r ^ x."""
+def to_matrix(p: PauliString, scale: complex = 1) -> np.ndarray:
+    """Dense 2**n x 2**n scale * p; with the masks as index bits, qubit 0 the most
+    significant, column r holds scale * i**(phase + #Y) * (-1)**popcount(r & z) at row r ^ x."""
     if p.n > MAX_DENSE_QUBITS:
         raise ResourceLimitError(
             f"dense form of {p.n} qubits exceeds the cap of {MAX_DENSE_QUBITS}"
@@ -195,5 +195,7 @@ def to_matrix(p: PauliString) -> np.ndarray:
         odd ^= odd >> (1 << k)
     out = np.zeros((len(cols), len(cols)), dtype=complex)
     phase = (1, 1j, -1, -1j)[(p.phase_exp + (p.x_bits & p.z_bits).bit_count()) % 4]
-    out[cols ^ x, cols] = phase * (1 - 2 * (odd & 1))
+    values = phase * (1 - 2 * (odd & 1))
+    # a factor of 1 is skipped: it would turn the -0 parts of +-i into +0
+    out[cols ^ x, cols] = values if scale == 1 else values * scale
     return out

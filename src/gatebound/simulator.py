@@ -3,7 +3,8 @@
 Schedules are simulated qubit-locally in two work arrays, U and one spare:
 each primitive acts on U through its own one or two qubit axes, never as a
 2**n x 2**n matrix, and a Pauli pair updates U in place by axis flips and
-phases.  A one-term target is cos(a)*I + i*sin(a)*P; several terms and the
+phases.  U spans only the qubits touched so far, with the full product's
+bits.  A one-term target is cos(a)*I + i*sin(a)*P; several terms and the
 drift are one dense Pauli sum, guarded against overflow, whose exponential
 comes from an eigendecomposition.  No series is truncated.
 """
@@ -42,8 +43,7 @@ def target_unitary(spec) -> np.ndarray:
     _check_cap(spec.n)
     if spec.l == 1:
         ((a, p),) = spec.terms
-        U = to_matrix(p)
-        U *= 1j * math.sin(a)
+        U = to_matrix(p, 1j * math.sin(a))
         U.flat[::2 ** spec.n + 1] += math.cos(a)
         return U
     return expi_hermitian(_pauli_sum(spec.n, spec.terms,
@@ -68,24 +68,43 @@ def expi_hermitian(H: np.ndarray) -> np.ndarray:
 
 
 def _on_qubit(U: np.ndarray, q: int, G: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """G (2 x 2) applied to qubit q of U from the left into out, qubit 0 leftmost."""
+    """G (2 x 2) applied to axis q of U from the left into out, axis 0 leftmost."""
     return np.matmul(G, U.reshape(2 ** q, 2, -1), out=out.reshape(2 ** q, 2, -1)).reshape(U.shape)
+
+
+def _widen(U: np.ndarray, W: np.ndarray, pos: dict, q: int):
+    """(U with an identity factor on qubit q, written into W's buffer; the
+    front of U's buffer as the new spare; the new qubit -> axis map)."""
+    pos = {t: k for k, t in enumerate(sorted((*pos, q)))}
+    d, wide = 2 ** pos[q], 2 * len(U)
+    out = W.base[:wide * wide].reshape(d, 2, -1, d, 2, len(U) // d)
+    out.fill(0)
+    out[:, 0, :, :, 0] = out[:, 1, :, :, 1] = U.reshape(d, -1, d, len(U) // d)
+    return out.reshape(wide, wide), U.base[:wide * wide].reshape(wide, wide), pos
 
 
 def unitary_of_schedule(net: QubitNetwork, schedule) -> np.ndarray:
     """Ordered product of primitive exponentials (first primitive acts first),
-    raised to the schedule's repeat count.  A local rotation is a 2 x 2
-    matrix on its qubit, applied from U into the spare W; exp(i*sign*angle*
-    s_a s_b) turns U in place into cos(angle)*U + i*sign*sin(angle)*Q with
-    Q = (s_a on i)(s_b on j)*U, U flipped along its x and y factors' axes
-    times a phase, first written into W.  The local rotations a qubit
-    receives between two-body evolutions on it are multiplied into one
-    2 x 2 before they touch U.  ``check_schedule`` refuses what the
-    network cannot run before anything is allocated."""
+    raised to the schedule's repeat count.  U covers only the qubits touched
+    so far, in qubit order (``pos`` maps each to its axis), from [[1]] on
+    none: a qubit joins as an identity factor, written into the spare W,
+    when an evolution first touches it, and the rest join before the last
+    flush.  U and W are views of the front of two full-size buffers.  A
+    local rotation is a 2 x 2 matrix on its qubit's axis, applied from U
+    into W; exp(i*sign*angle*s_a s_b) turns U in place into cos(angle)*U +
+    i*sign*sin(angle)*Q with Q = (s_a on i)(s_b on j)*U, U flipped along
+    its x and y factors' axes times a phase, first written into W.  The
+    local rotations a qubit receives between two-body evolutions on it are
+    multiplied into one 2 x 2 before they touch U.  Each entry meets the
+    operands it meets in the full 2**n x 2**n product, whose entries off
+    the touched qubits are exact 0s and 1s, so the bits are the same.
+    ``check_schedule`` refuses what the network cannot run before anything
+    is allocated."""
     _check_cap(schedule.n)
     check_schedule(net, schedule)
-    U = np.eye(2 ** schedule.n, dtype=complex)
-    W = np.empty_like(U)
+    U, W = (np.empty(4 ** schedule.n, dtype=complex)[:1].reshape(1, 1) for _ in range(2))
+    U[0, 0] = 1
+    pos = {}  # touched qubit -> its axis of U
     pending = {}  # qubit -> product of its local rotations not yet applied
     for prim in schedule.primitives:
         if isinstance(prim, LocalRotation):
@@ -97,14 +116,18 @@ def unitary_of_schedule(net: QubitNetwork, schedule) -> np.ndarray:
             pending[prim.qubit] = G if before is None else G @ before
         else:
             for q in prim.edge:
+                if q not in pos:
+                    U, W, pos = _widen(U, W, pos, q)
                 if q in pending:
-                    U, W = _on_qubit(U, q, pending.pop(q), W), U
-            (i, j), a, b = prim.edge, prim.alpha, prim.beta
+                    U, W = _on_qubit(U, pos[q], pending.pop(q), W), U
+            (i, j), a, b = (pos[q] for q in prim.edge), prim.alpha, prim.beta
             V, W5 = (A.reshape(2 ** i, 2, 2 ** (j - i - 1), 2, -1) for A in (U, W))
             phase = (1j * prim.sign * math.sin(prim.angle)) * _PAIR_PHASE[a, b]
             np.multiply(V[:, _FLIP[a], :, _FLIP[b]], phase, out=W5)
             U *= math.cos(prim.angle)
             U += W
+    for q in set(range(schedule.n)) - pos.keys():
+        U, W, pos = _widen(U, W, pos, q)
     for q, G in pending.items():
         U, W = _on_qubit(U, q, G, W), U
     # a huge repeat count can overflow the rounding of U into inf/nan, which

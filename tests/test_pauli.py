@@ -176,6 +176,22 @@ def test_to_matrix_equals_i_to_the_phase_times_the_kronecker_chain_exactly():
             assert np.array_equal(to_matrix(p), 1j ** k * kron_word(format_pauli(w))), p
 
 
+def test_to_matrix_scales_only_the_entries_of_the_word():
+    # a scale multiplies each of the 2**n written values; a scale of 1 leaves
+    # their bits alone, the -0 real part of a -i entry included
+    rng = np.random.default_rng(5)
+    for n in (1, 3, 6):
+        for _ in range(4):
+            p = PauliString(n, int(rng.integers(0, 1 << n)), int(rng.integers(0, 1 << n)),
+                            int(rng.integers(0, 4)))
+            plain = to_matrix(p)
+            assert to_matrix(p, 1).tobytes() == plain.tobytes()
+            for scale in (-0.3j, 0.5j, -1.25, 0.25 - 0.75j):
+                scaled = to_matrix(p, scale)
+                assert np.array_equal(scaled, plain * scale), (p, scale)
+                assert np.count_nonzero(scaled) == 2 ** n
+
+
 def test_to_matrix_cap():
     with pytest.raises(ResourceLimitError):
         to_matrix(identity(13))

@@ -293,6 +293,56 @@ class TestQubitLocalKernel:
                     assert np.array_equal(unitary_of_schedule(net, s),
                                           matmul_schedule_unitary(s))
 
+    def test_qubits_that_enter_out_of_order_match_the_reference_to_the_bit(self):
+        # evolutions on (4, 5), then (1, 0) listed (v, u), then (2, 3): the
+        # touched qubits grow at the back, then the front, then the middle
+        net = QubitNetwork(n=6, edges={(k, k + 1): np.ones((3, 3)) for k in range(5)})
+        prims = (LocalRotation(5, (0.6, 0.0, 0.8), 0.4),
+                 TwoBodyEvolution((4, 5), "x", "y", -1, 0.7, 1.0),
+                 LocalRotation(0, (0.48, 0.6, 0.64), -1.2),
+                 TwoBodyEvolution((1, 0), "z", "x", -1, 0.3, 1.0),
+                 LocalRotation(3, (0.0, 1.0, 0.0), 0.9),
+                 LocalRotation(4, (0.8, 0.0, 0.6), 2.1),
+                 TwoBodyEvolution((2, 3), "y", "z", -1, 1.1, 1.0),
+                 TwoBodyEvolution((3, 4), "x", "x", -1, 0.5, 1.0),
+                 LocalRotation(2, (0.6, 0.8, 0.0), -0.3))
+        for repeat in (1, 2):
+            s = Schedule(6, prims, repeat=repeat)
+            assert np.array_equal(unitary_of_schedule(net, s), matmul_schedule_unitary(s))
+
+    def test_rotation_on_a_qubit_no_evolution_touches(self):
+        net = uniform_chain(4)
+        for prims in ((LocalRotation(3, (0.48, 0.6, 0.64), 0.8),
+                       TwoBodyEvolution((1, 2), "z", "z", -1, 0.6, 1.0),
+                       LocalRotation(1, (1.0, 0.0, 0.0), -0.5)),
+                      (LocalRotation(2, (0.0, 0.6, 0.8), 1.7),)):
+            s = Schedule(4, prims)
+            assert np.array_equal(unitary_of_schedule(net, s), matmul_schedule_unitary(s))
+
+    def test_one_evolution_on_an_eight_qubit_chain_is_its_kronecker_form(self):
+        net = QubitNetwork(n=8, edges={(k, k + 1): -np.ones((3, 3)) for k in range(7)})
+        s = Schedule(8, (TwoBodyEvolution((3, 4), "x", "y", 1, 0.6, -1.0),))
+        U = unitary_of_schedule(net, s)
+        pair = math.cos(0.6) * np.eye(4) + (1j * math.sin(0.6)) * kron_word("XY")
+        assert np.array_equal(U, matmul_schedule_unitary(s))
+        assert np.array_equal(U, np.kron(np.kron(np.eye(8), pair), np.eye(8)))
+
+    def test_a_ten_qubit_certificate_flushes_before_every_qubit_has_joined(self, monkeypatch):
+        # a ladder touches its qubits one by one, so its first rotation flush
+        # runs on a U over fewer than all ten qubits
+        import gatebound.simulator as sim
+
+        sizes, on_qubit = [], sim._on_qubit
+
+        def record(U, q, G, out):
+            sizes.append(U.size)
+            return on_qubit(U, q, G, out)
+
+        monkeypatch.setattr(sim, "_on_qubit", record)
+        net, word = ising_chain(10), parse_pauli("XYZZYXXYZX")
+        U = unitary_of_schedule(net, synth_pauli_term(net, 0.5, word))
+        assert sizes[0] < 4 ** 10 and U.shape == (2 ** 10, 2 ** 10)
+
     def test_no_dense_embedding_per_primitive(self, monkeypatch):
         import gatebound.simulator as sim
 
