@@ -8,6 +8,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gatebound import (
     GeneratorSpec,
@@ -387,6 +389,40 @@ class TestCommutatorKernel:
             # an overflowing product on a commuting pair is never formed
             s = spec_of((1e200, "ZI"), (1e200, "IZ"), (1.0, "XI"))
             assert commutator_weight(s) == commutator_weight_oracle(s) == 2e200
+
+    @settings(derandomize=True, deadline=None, database=None)
+    @given(st.data())
+    def test_matches_pair_loop_at_any_block_size(self, data):
+        n = data.draw(st.integers(1, 70))
+        l = data.draw(st.integers(1, min(60, 4**n - 1)))
+        word = st.tuples(st.integers(0, 2**n - 1), st.integers(0, 2**n - 1))
+        keys = data.draw(st.lists(word.filter(any), min_size=l, max_size=l, unique=True))
+        coeffs = data.draw(st.lists(st.floats(1e-3, 10.0) | st.floats(-10.0, -1e-3),
+                                    min_size=l, max_size=l))
+        s = GeneratorSpec(tuple((a, PauliString(n, x, z)) for a, (x, z) in zip(coeffs, keys)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bounds, "_PAIR_BLOCK", data.draw(st.integers(1, 300)))
+            assert commutator_weight(s) == commutator_weight_oracle(s)
+
+    def test_masked_products_never_reach_the_sum(self, monkeypatch):
+        # with 50-pair blocks, rows 8..11 form the second block and its strip
+        # is columns 7..10: (8, 8) and (9, 9) are diagonal entries there, (8, 9)
+        # has k > j, and rows 8 and 9 meet the commuting ZZ word 2 in the
+        # rectangle; all of these products overflow and all are dropped
+        monkeypatch.setattr(bounds, "_PAIR_BLOCK", 50)
+        words = ["XIIIII", "YXIIII", "ZZIIII", "IYXIII", "IIYXII", "IIIYXI", "IIIIYX",
+                 "XIIIIY", "IZZIII", "IIZZII", "XXIIII", "IIIIXX", "YIIIIY"]
+        big = {2: 1e200, 8: 1e200, 9: 1e300}
+        s = spec_of(*((big.get(j, 1.0), w) for j, w in enumerate(words)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            K = commutator_weight(s)
+            assert math.isfinite(K) and K == commutator_weight_oracle(s)
+            # an anticommuting pair of the same size in the same place overflows
+            words[9] = "IIXZII"
+            s = spec_of(*((big.get(j, 1.0), w) for j, w in enumerate(words)))
+            with pytest.raises(DomainError):
+                commutator_weight(s)
 
     def test_scratch_memory_at_five_thousand_terms(self):
         s = random_spec(np.random.default_rng(7003), 20, 5000)
