@@ -21,23 +21,30 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .depth import DepthResult, depth_of_support, depth_upper_bound
 from .errors import DomainError, ParseError, require_positive
 from .network import QubitNetwork, json_number, min_coupling, read_json, require_full_local
-from .pauli import PauliString, parse_pauli, symplectic_bits
+from .pauli import PauliString, parse_pauli
 
 _PAIR_BLOCK = 8192  # pair entries per block of commutator_weight
 
 
 @dataclass(frozen=True)
 class GeneratorSpec:
-    """Target generator as a weighted list of distinct Pauli words."""
+    """Target generator as a weighted list of distinct Pauli words; the
+    constructor stores the values the bounds read, its arrays read-only."""
 
     terms: tuple[tuple[float, PauliString], ...]
+    words: tuple[PauliString, ...] = field(init=False, repr=False, compare=False)
+    coefficients: np.ndarray = field(init=False, repr=False, compare=False)  # (l,) float64
+    # (l, 2, n) uint8: word j's x and z bits on qubit i at [j, :, i]
+    bits: np.ndarray = field(init=False, repr=False, compare=False)
+    norm_1: float = field(init=False, repr=False, compare=False)  # summed in term order
+    norm_inf: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         terms = tuple((float(a), p) for a, p in self.terms)
@@ -60,7 +67,18 @@ class GeneratorSpec:
             if key in seen:
                 raise DomainError(f"duplicate word {p}")
             seen.add(key)
-        object.__setattr__(self, "terms", terms)
+        coefficients = np.array([a for a, _ in terms])
+        raw = b"".join(m.to_bytes((n + 7) // 8, "little")
+                       for _, p in terms for m in (p.x_bits, p.z_bits))
+        bits = np.unpackbits(np.frombuffer(raw, np.uint8).reshape(len(terms), 2, -1),
+                             axis=2, count=n, bitorder="little")
+        for array in (coefficients, bits):
+            array.setflags(write=False)
+        for name, value in (("terms", terms), ("words", tuple(p for _, p in terms)),
+                            ("coefficients", coefficients), ("bits", bits),
+                            ("norm_1", sum(abs(a) for a, _ in terms)),
+                            ("norm_inf", max(abs(a) for a, _ in terms))):
+            object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:
@@ -69,22 +87,6 @@ class GeneratorSpec:
     @property
     def l(self) -> int:
         return len(self.terms)
-
-    @property
-    def norm_inf(self) -> float:
-        return max(abs(a) for a, _ in self.terms)
-
-    @property
-    def norm_1(self) -> float:
-        return sum(abs(a) for a, _ in self.terms)
-
-    @property
-    def coefficients(self) -> tuple[float, ...]:
-        return tuple(a for a, _ in self.terms)
-
-    @property
-    def words(self) -> tuple[PauliString, ...]:
-        return tuple(p for _, p in self.terms)
 
 
 def spec_from_list(data) -> GeneratorSpec:
@@ -135,7 +137,7 @@ def commutator_weight(spec: GeneratorSpec) -> float:
     bit-identical to the Python loop over the pairs in that order.
     """
     l, w = spec.l, np.abs(spec.coefficients)
-    bits = symplectic_bits(spec.words).astype(np.float32)
+    bits = spec.bits.astype(np.float32)
     rows, cols = bits.reshape(l, -1), bits.transpose(1, 2, 0)[::-1].reshape(-1, l)
     total, r0 = np.zeros(1), 1
     with np.errstate(over="ignore"):
@@ -260,7 +262,7 @@ def bound_report(spec: GeneratorSpec, net: QubitNetwork, epsilon: float,
     depths = tuple(0 if word.weight < 2 else fallback if walk is None else walk.depth
                    for word, walk in zip(spec.words, walks))
     J = min_coupling(net)
-    per_term = tuple(single_term_bound(a, d, J) for a, d in zip(spec.coefficients, depths))
+    per_term = tuple(single_term_bound(a, d, J) for (a, _), d in zip(spec.terms, depths))
     depth_sum = sum(depths)
 
     if spec.l == 1:

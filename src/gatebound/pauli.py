@@ -151,15 +151,6 @@ def commutes(p: PauliString, q: PauliString) -> bool:
     return sym % 2 == 0
 
 
-def symplectic_bits(words) -> np.ndarray:
-    """(l, 2, n) 0/1 uint8 array: word j's x and z bits on qubit i at [j, :, i]."""
-    n = words[0].n
-    raw = b"".join(m.to_bytes((n + 7) // 8, "little")
-                   for p in words for m in (p.x_bits, p.z_bits))
-    packed = np.frombuffer(raw, np.uint8).reshape(len(words), 2, -1)
-    return np.unpackbits(packed, axis=2, count=n, bitorder="little")
-
-
 def commutator(p: PauliString, q: PauliString) -> PauliString | None:
     """[P, Q]/2 = PQ with its phase, or None when P and Q commute.
 

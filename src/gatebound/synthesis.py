@@ -111,7 +111,7 @@ class Schedule:
 
     @property
     def total_duration(self) -> float:
-        return self.repeat * sum(p.duration for p in self.primitives)
+        return self.repeat * sum((p.duration for p in self.primitives), 0.0)
 
 
 def check_schedule(net: QubitNetwork, schedule: Schedule) -> None:

@@ -46,6 +46,7 @@ from helpers import (
     kron_word,
     random_connected_network,
     random_spec,
+    random_word,
     spec_to_list,
     uniform_chain,
 )
@@ -65,6 +66,31 @@ class TestGeneratorSpec:
         assert s.norm_inf == 2.0
         assert s.norm_1 == 3.5
         assert s.n == 2
+        assert s.coefficients.dtype == np.float64
+        assert s.coefficients.tolist() == [a for a, _ in s.terms] == [0.5, -2.0, 1.0]
+        for array in (s.coefficients, s.bits):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+        assert s == GeneratorSpec(s.terms) and hash(s) == hash(GeneratorSpec(s.terms))
+        # a pairwise sum of these |a| rounds to 1 + 3 ulp, the sum in term order does not
+        words = ("XI", "YI", "ZI", "IX", "IY", "IZ", "XX", "YY", "ZZ")
+        tiny = spec_of(*zip((1.0,) + (-1e-16, 1e-16) * 4, words))
+        assert tiny.norm_1 == sum(abs(a) for a, _ in tiny.terms) != np.abs(tiny.coefficients).sum()
+
+    def test_bits_match_the_masks(self):
+        rng = np.random.default_rng(31)
+        for n in (1, 7, 8, 9, 64, 130):
+            words = []
+            while len(words) < min(5, 4**n - 1):
+                p = random_word(rng, n)
+                if p not in words:
+                    words.append(p)
+            bits = GeneratorSpec(tuple((1.0, p) for p in words)).bits
+            assert bits.shape == (len(words), 2, n) and bits.dtype == np.uint8
+            for j, p in enumerate(words):
+                for i in range(n):
+                    assert bits[j, 0, i] == p.x_bits >> i & 1
+                    assert bits[j, 1, i] == p.z_bits >> i & 1
 
     def test_validation(self):
         with pytest.raises(DomainError):

@@ -151,6 +151,10 @@ def test_verify_detects_tampered_schedule(three_path, zzz_target, tmp_path, caps
                "--schedule", str(tmp_path / "tampered.json")])
     assert rc == 4
     assert json.loads(capsys.readouterr().out)["pass"] is False
+    (tmp_path / "empty.json").write_text(json.dumps({"n": 3, "primitives": []}))
+    assert main(["verify", three_path, zzz_target, "--epsilon", "0.05",
+                 "--schedule", str(tmp_path / "empty.json")]) == 4
+    assert '"total_duration": 0.0,' in capsys.readouterr().out
 
 
 def test_verify_multi_term(three_path, tmp_path, capsys):

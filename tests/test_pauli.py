@@ -11,7 +11,6 @@ from gatebound.pauli import (
     format_pauli,
     parse_pauli,
     single,
-    symplectic_bits,
     to_matrix,
     two_body,
 )
@@ -267,15 +266,3 @@ def test_support_matches_per_qubit_definition():
             occ = p.x_bits | p.z_bits
             assert p.support == tuple(q for q in range(n) if occ >> q & 1), p
     assert parse_pauli("Z" + "I" * 1998 + "X").support == (0, 1999)
-
-
-def test_symplectic_bits_match_the_masks():
-    rng = np.random.default_rng(31)
-    for n in (1, 7, 8, 9, 64, 130):
-        words = [random_word(rng, n) for _ in range(5)]
-        bits = symplectic_bits(words)
-        assert bits.shape == (5, 2, n) and bits.dtype == np.uint8
-        for j, p in enumerate(words):
-            for i in range(n):
-                assert bits[j, 0, i] == p.x_bits >> i & 1
-                assert bits[j, 1, i] == p.z_bits >> i & 1

@@ -134,6 +134,7 @@ class TestSelectTwoBody:
         net = uniform_chain(2)
         s = select_two_body(net, (0, 1), "z", "z", 1, 0.0)
         assert s.primitives == () and s.total_duration == 0.0
+        assert type(s.total_duration) is float and type(Schedule(3, ()).total_duration) is float
 
     @pytest.mark.parametrize("k", [math.nan, math.inf], ids=["nan", "inf"])
     def test_non_finite_k_is_refused(self, k):
