@@ -63,6 +63,7 @@ with st(S) read off a table of the connected vertex sets.
 from __future__ import annotations
 
 import heapq
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -280,9 +281,13 @@ def _smallest_walk(adj, U: set[int], terminals: frozenset):
 
 
 def _check_support(n: int, support) -> frozenset:
-    """The qubits of a support: two or more, each in 0..n-1 (checked in the order given)."""
+    """The qubits of a support: two or more integers in 0..n-1 (checked in order)."""
     qubits = tuple(support)
     for q in qubits:
+        try:
+            operator.index(q)  # numpy integers and bools are qubits too
+        except TypeError:
+            raise DomainError(f"qubit {q!r} is not an integer") from None
         if not 0 <= q < n:
             raise DomainError(f"qubit {q} outside 0..{n - 1}")
     if len(set(qubits)) < 2:

@@ -89,13 +89,13 @@ class QubitNetwork:
             raise DomainError("the coupling graph must be connected")
         try:
             couplings = np.array(list(self.edges.values()), dtype=float)
-        except ValueError:  # unequal shapes; a non-number raises again below
+        except (TypeError, ValueError):  # unequal shapes, or a non-number refused below
             couplings = None
         if couplings is None or couplings.shape[1:] != (3, 3):
             for (i, j), g in self.edges.items():
                 if np.shape(g) != (3, 3):
                     raise DomainError(f"edge ({i},{j}) coupling tensor is not 3x3")
-            couplings = np.array(list(self.edges.values()), dtype=float)
+            raise DomainError("couplings must be real numbers")  # shapes are fine: a non-number
         for fault, bad in (("has non-finite couplings", ~np.isfinite(couplings).all(axis=(1, 2))),
                            ("has all-zero couplings", ~couplings.any(axis=(1, 2)))):
             if bad.any():
@@ -106,7 +106,11 @@ class QubitNetwork:
         object.__setattr__(self, "couplings", couplings)
         object.__setattr__(self, "edges", dict(zip(keys, couplings)))
 
-        omega = np.array(np.zeros((self.n, 3)) if self.omega is None else self.omega, dtype=float)
+        try:
+            omega = np.array(np.zeros((self.n, 3)) if self.omega is None else self.omega,
+                             dtype=float)
+        except (TypeError, ValueError):
+            raise DomainError(f"omega must be an ({self.n}, 3) array of real numbers") from None
         if omega.shape != (self.n, 3):
             raise DomainError(f"omega must have shape ({self.n}, 3)")
         if not np.all(np.isfinite(omega)):

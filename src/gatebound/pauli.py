@@ -84,9 +84,11 @@ class PauliString:
 
 
 def single(n: int, qubit: int, axis: str) -> PauliString:
-    """Weight-1 word with the given axis label on one qubit."""
+    """Weight-1 word with axis label x, y or z, in either case, on one qubit."""
     if not 0 <= qubit < n:
         raise DomainError(f"qubit {qubit} outside 0..{n - 1}")
+    if not isinstance(axis, str) or axis.upper() not in ("X", "Y", "Z"):
+        raise DomainError(f"axis must be one of x, y, z, got {axis!r}")
     x, z = _BITS[axis.upper()]
     return PauliString(n, x << qubit, z << qubit, 0)
 

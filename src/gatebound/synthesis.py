@@ -29,7 +29,7 @@ from .depth import DepthResult, GROW
 from .errors import DimensionError, DomainError, ParseError
 from .network import (AXES, QubitNetwork, dump_json, json_int, json_number, read_json,
                       strongest_couplings)
-from .pauli import PauliString, commutator, multiply, two_body
+from .pauli import PauliString, multiply, two_body
 
 _UNIT = {"x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0), "z": (0.0, 0.0, 1.0)}
 # Levi-Civita sign eps[a][b] such that s_a s_b = i*eps*s_c for distinct axes
@@ -285,39 +285,6 @@ def select_two_body(
 # ---------------------------------------------------------------------------
 # conjugation ladders
 
-def _build_ladder(net: QubitNetwork, word: PauliString, result: DepthResult):
-    """Backward pass: pick one conjugator per witness step.
-
-    Returns (core_word, conjugators, eta) where ``conjugators[t]`` maps the
-    word at level t to the word at level t+1 via exp(-i*pi/4*Q) . exp(i*pi/4*Q)
-    conjugation, and ``eta`` is the accumulated +-1 the core angle must absorb.
-    """
-    current = word.bare()
-    conjugators: list[PauliString] = []
-    eta = 1
-    for step in reversed(result.witness):
-        u, v = step.edge
-        anchor = u if step.vertex == v else v
-        # the smallest allowed label at each endpoint: the anchor's must
-        # change; undoing a growth keeps the grown vertex's label so that it
-        # cancels, and undoing a shrink reintroduces that vertex with any label
-        label = {anchor: next(c for c in "XYZ" if c != current.label(anchor)),
-                 step.vertex: current.label(step.vertex) if step.kind == GROW else "X"}
-        q = two_body(net.n, u, label[u], v, label[v])
-        # the previous-level word is the bare product; verify symbolically
-        # that conjugation really advances it back to the current word
-        prev = multiply(q, current).bare()
-        check = commutator(q, prev)
-        if check is None or check.bare() != current:
-            raise AssertionError("conjugation ladder construction broke")
-        e = check.phase_exp  # odd; the wrap contributes -i*i**e
-        eta *= 1 if e == 1 else -1
-        conjugators.append(q)
-        current = prev
-    conjugators.reverse()
-    return current, conjugators, eta
-
-
 def synth_pauli_term(net: QubitNetwork, a: float, word: PauliString) -> Schedule:
     """Schedule whose unitary is exactly exp(i*a*P) for one Pauli word: the
     one-term report's pass, so the checks and the walk are ``bound_report``'s.
@@ -343,17 +310,31 @@ def _term_schedule(net: QubitNetwork, a: float, word: PauliString,
         # exp(i*a*s) = exp(-i*(-a)*s)
         return (LocalRotation(qubit, axis, -a),)
 
-    core_word, conjugators, eta = _build_ladder(net, word, walk)
-    # the core and each wrap run on the labels their ladder word has at their edge
+    # one backward pass, word to core: each step's conjugator Q times the current
+    # word C is i**e * P, P the word a level down; e is odd iff Q anticommutes with
+    # C, and then Q's pi/4 wrap maps P to -i**(1-e) * C, a sign the core absorbs
+    current, eta, wraps = word, 1, []
+    for step in reversed(walk.witness):
+        u, v = step.edge
+        anchor = u if step.vertex == v else v
+        # the smallest allowed label at each endpoint: the anchor's must
+        # change; undoing a growth keeps the grown vertex's label so that it
+        # cancels, and undoing a shrink reintroduces that vertex with any label
+        label = {anchor: next(c for c in "XYZ" if c != current.label(anchor)),
+                 step.vertex: current.label(step.vertex) if step.kind == GROW else "X"}
+        product = multiply(two_body(net.n, u, label[u], v, label[v]), current)
+        if product.phase_exp % 2 == 0:
+            raise AssertionError("conjugation ladder construction broke")
+        eta *= 1 if product.phase_exp == 3 else -1
+        wraps.append(select_two_body(net, step.edge, label[u].lower(), label[v].lower(), 1,
+                                     math.pi / 4).primitives)
+        current = product.bare()
     u, v = walk.start_edge
     a_core = a * eta
-    core = select_two_body(net, (u, v), core_word.label(u).lower(), core_word.label(v).lower(),
+    core = select_two_body(net, (u, v), current.label(u).lower(), current.label(v).lower(),
                            1 if a_core > 0 else -1, abs(a_core))
-    wraps = [select_two_body(net, (u, v), q.label(u).lower(), q.label(v).lower(), 1,
-                             math.pi / 4).primitives
-             for q, (u, v) in zip(conjugators, (step.edge for step in walk.witness))]
     # time order: outermost wrap first, then inner wraps, core, and unwinds
-    return tuple(chain(*reversed(wraps), core.primitives, *map(_unwrap, wraps)))
+    return tuple(chain(*wraps, core.primitives, *map(_unwrap, reversed(wraps))))
 
 
 def _unwrap(wrap: tuple) -> tuple:

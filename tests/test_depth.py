@@ -5,8 +5,8 @@ import time
 import numpy as np
 import pytest
 
-from gatebound import (PauliString, QubitNetwork, depth, depth_of_support, depth_upper_bound,
-                       max_depth_table)
+from gatebound import (PauliString, QubitNetwork, cnot_bound, depth, depth_of_support,
+                       depth_upper_bound, ising_chain, max_depth_table)
 from gatebound.errors import DomainError, ResourceLimitError
 from gatebound.pauli import parse_pauli
 
@@ -93,9 +93,18 @@ def test_max_depth_table_five_path():
     assert table.max_depth == 6
     # the deepest supports are sparse pairs near the ends, e.g. {0, 4}
     assert table.support_depth((0, 4)) == 6
-    for support in [(), (2,), (3, 3), (0, 5), (-1, 2)]:
+    for support in [(), (2,), (3, 3), (0, 5), (-1, 2), (0.5, 2), (1.0, 3), ("1", 2)]:
         with pytest.raises(DomainError):
             table.support_depth(support)
+    net = ising_chain(4)
+    for qubit in (0.5, 1.0, "1"):  # formerly a bare TypeError
+        with pytest.raises(DomainError, match="not an integer"):
+            depth_of_support(net, [qubit, 2])
+        with pytest.raises(DomainError, match="not an integer"):
+            cnot_bound(net, qubit, 2)
+    # numpy integers and bools keep counting as the qubits they equal
+    assert depth_of_support(net, [np.int64(0), 3]) == depth_of_support(net, [0, 3])
+    assert table.support_depth((np.int64(0), True)) == table.support_depth((0, 1))
 
 
 def test_full_weight_on_paths():

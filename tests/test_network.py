@@ -185,6 +185,13 @@ def test_validation_errors():
             preset(n)
     with pytest.raises(DomainError):  # NaN coupling
         QubitNetwork(n=2, edges={(0, 1): np.full((3, 3), np.nan)})
+    for bad in ("a", {}):  # formerly numpy's ValueError and a TypeError
+        tensor = g.tolist()
+        tensor[0][1] = bad
+        with pytest.raises(DomainError, match="couplings must be real numbers"):
+            QubitNetwork(n=2, edges={(0, 1): tensor})
+        with pytest.raises(DomainError, match=r"omega must be an \(2, 3\) array of real numbers"):
+            QubitNetwork(n=2, edges={(0, 1): g}, omega=[[0, bad, 0], [0, 0, 0]])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])

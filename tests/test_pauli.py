@@ -258,6 +258,12 @@ def test_weight_and_support():
         single(4, 4, "x")
     with pytest.raises(DomainError, match="distinct qubits"):
         two_body(4, 1, "x", 1, "z")
+    assert single(4, 2, "Y") == single(4, 2, "y")
+    for label in ("w", "", "i", "I", 1):  # formerly a KeyError, the identity or an AttributeError
+        for build in (lambda: single(3, 0, label), lambda: two_body(3, 0, label, 1, "x"),
+                      lambda: two_body(3, 0, "x", 1, label)):
+            with pytest.raises(DomainError, match="axis must be one of x, y, z"):
+                build()
 
 
 def test_support_matches_per_qubit_definition():

@@ -27,6 +27,7 @@ from gatebound import (
     trotter_error_bound,
     unitary_of_schedule,
 )
+from gatebound import synthesis
 from gatebound.bounds import bound_report
 from gatebound.depth import GROW
 from gatebound.errors import DomainError, ParseError
@@ -35,7 +36,6 @@ from gatebound.synthesis import (
     LocalRotation,
     Schedule,
     TwoBodyEvolution,
-    _build_ladder,
     load_schedule,
     report_schedule,
     save_schedule,
@@ -314,9 +314,17 @@ class TestSynthPauliTerm:
             checked += D
         assert checked > 60
 
-    def test_ladder_picks_the_first_allowed_conjugator(self):
-        # every conjugator is the lexicographically first label pair the
+    def test_ladder_picks_the_first_allowed_conjugator(self, monkeypatch):
+        # every wrap runs on the lexicographically first label pair the
         # oracle enumerates for its witness step
+        wraps = []
+
+        def record(net, edge, alpha, beta, sign, k):
+            if (sign, k) == (1, math.pi / 4):
+                wraps.append((edge, alpha, beta))
+            return select_two_body(net, edge, alpha, beta, sign, k)
+
+        monkeypatch.setattr(synthesis, "select_two_body", record)
         rng = np.random.default_rng(73)
         nets = []
         for n in range(3, 12):
@@ -328,19 +336,20 @@ class TestSynthPauliTerm:
         for net in nets:
             for _ in range(8):
                 word = random_word(rng, net.n, min_weight=2)
-                result = depth(net, word)
-                _, conjugators, _ = _build_ladder(net, word, result)
-                assert len(conjugators) == len(result.witness)
-                current = word.bare()
-                for step, q in zip(reversed(result.witness), reversed(conjugators)):
+                wraps.clear()
+                synth_pauli_term(net, 0.3, word)
+                choices = []
+                current = word
+                for step in reversed(depth(net, word).witness):
                     u, v = step.edge
                     anchor = u if step.vertex == v else v
                     grown = current.label(step.vertex) if step.kind == GROW else None
                     lu, lv = conjugator_choices_oracle(step.edge, grown, anchor, step.vertex,
                                                        current.label(anchor))[0]
-                    assert q == two_body(net.n, u, lu, v, lv)
-                    current = multiply(q, current).bare()
-                    steps += 1
+                    choices.append((step.edge, lu.lower(), lv.lower()))
+                    current = multiply(two_body(net.n, u, lu, v, lv), current).bare()
+                assert sorted(wraps) == sorted(choices)
+                steps += len(choices)
         assert steps > 500
 
     def test_rejects_bad_inputs(self):
@@ -380,6 +389,16 @@ class TestSynthGenerator:
         spec = GeneratorSpec(((0.6, parse_pauli("ZZZ")), (0.3, parse_pauli("XII"))))
         with pytest.raises(DomainError, match="use_exact_depths=True"):
             report_schedule(net, bound_report(spec, net, 0.05))
+
+    def test_walk_of_another_word_breaks_the_ladder(self):
+        net = uniform_chain(4)
+
+        def rep(word):
+            return bound_report(GeneratorSpec(((0.3, parse_pauli(word)),)), net, 1.0,
+                                use_exact_depths=True)
+
+        with pytest.raises(AssertionError, match="conjugation ladder"):
+            report_schedule(net, replace(rep("ZZZI"), walks=rep("ZIZI").walks))
 
     def test_commuting_terms_are_exact(self):
         net = uniform_chain(3)
