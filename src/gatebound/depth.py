@@ -63,12 +63,11 @@ with st(S) read off a table of the connected vertex sets.
 from __future__ import annotations
 
 import heapq
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, ResourceLimitError, require_qubit
 from .network import QubitNetwork, canonical_edge, components, distances, require_full_local
 from .pauli import PauliString
 
@@ -124,17 +123,14 @@ def _prune_leaves(adj, terminals) -> set[int]:
     return keep
 
 
-def _join_two(adj, comps) -> set[int]:
-    """Inner vertices of the path Dreyfus-Wagner's ``path`` would take: a BFS from the
-    first component, walked back from the second to the least vertex one step nearer."""
-    dist = distances(adj, comps[0], range(len(adj)))
-    d = min(dist[x] for x in comps[1])
-    v = min(w for x in comps[1] for w in adj[x] if dist[w] == d - 1)
-    joined = set()
+def _walk_back(adj, dist, v) -> set[int]:
+    """v and each least neighbour one step nearer, down to distance 0: the one rule
+    by which every Steiner path is walked back along BFS distances."""
+    walked = {v}
     while dist[v]:
-        joined.add(v)
         v = min(w for w in adj[v] if dist[w] == dist[v] - 1)
-    return joined
+        walked.add(v)
+    return walked
 
 
 def _dreyfus_wagner(adj, keep, comps) -> set[int]:
@@ -201,11 +197,7 @@ def _dreyfus_wagner(adj, keep, comps) -> set[int]:
     chosen: set[int] = set()
 
     def path(v: int, t: int) -> None:
-        dist = distances(nbrs, (t,), range(N))
-        chosen.add(v)
-        while v != t:
-            v = next(w for w in nbrs[v] if dist[w] == dist[v] - 1)
-            chosen.add(v)
+        chosen.update(_walk_back(nbrs, distances(nbrs, (t,), range(N)), v))
 
     def build(mask: int, v: int) -> None:
         if mask & (mask - 1) == 0:
@@ -225,8 +217,10 @@ def _steiner_set(net: QubitNetwork, adj, terminals: frozenset) -> set[int]:
     comps = components(adj, terminals)
     if len(comps) == 1:
         return set(terminals)
-    if len(comps) == 2:
-        return set(terminals) | _join_two(adj, comps)
+    if len(comps) == 2:  # back from the second's least neighbour nearest the first
+        dist = distances(adj, comps[0], range(len(adj)))
+        _, v = min((dist[w], w) for x in comps[1] for w in adj[x])
+        return set(terminals) | _walk_back(adj, dist, v)
     keep = _prune_leaves(adj, terminals)
     if len(net.edges) == net.n - 1:
         return keep
@@ -282,14 +276,7 @@ def _smallest_walk(adj, U: set[int], terminals: frozenset):
 
 def _check_support(n: int, support) -> frozenset:
     """The qubits of a support: two or more integers in 0..n-1 (checked in order)."""
-    qubits = tuple(support)
-    for q in qubits:
-        try:
-            operator.index(q)  # numpy integers and bools are qubits too
-        except TypeError:
-            raise DomainError(f"qubit {q!r} is not an integer") from None
-        if not 0 <= q < n:
-            raise DomainError(f"qubit {q} outside 0..{n - 1}")
+    qubits = [require_qubit(q, n) for q in support]
     if len(set(qubits)) < 2:
         raise DomainError("depth is defined for supports of two or more qubits")
     return frozenset(qubits)

@@ -26,7 +26,7 @@ from sys import float_info
 
 import numpy as np
 
-from .errors import DomainError, ParseError, ResourceLimitError
+from .errors import DomainError, ParseError, ResourceLimitError, require_qubit
 
 AXES = ("x", "y", "z")
 CONTROL_MODELS = ("full_local", "star_reduced")
@@ -83,6 +83,7 @@ class QubitNetwork:
                 raise DomainError(f"self-loop on qubit {i}")
             if not (0 <= i < self.n and 0 <= j < self.n):
                 raise DomainError(f"edge ({i},{j}) outside 0..{self.n - 1}")
+            i, j = require_qubit(i, self.n), require_qubit(j, self.n)
             if keys.setdefault(canonical_edge(i, j), (i, j)) != (i, j):
                 raise DomainError(f"edge {canonical_edge(i, j)} is given twice")
         if len(keys) < self.n - 1:  # refused before n sizes anything
@@ -93,7 +94,7 @@ class QubitNetwork:
             couplings = None
         if couplings is None or couplings.shape[1:] != (3, 3):
             for (i, j), g in self.edges.items():
-                if np.shape(g) != (3, 3):
+                if np.shape(np.array(g, dtype=object)) != (3, 3):
                     raise DomainError(f"edge ({i},{j}) coupling tensor is not 3x3")
             raise DomainError("couplings must be real numbers")  # shapes are fine: a non-number
         for fault, bad in (("has non-finite couplings", ~np.isfinite(couplings).all(axis=(1, 2))),

@@ -17,7 +17,7 @@ from math import ldexp, sqrt
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, ParseError, ResourceLimitError
+from .errors import DimensionError, DomainError, ParseError, ResourceLimitError, require_qubit
 
 MAX_DENSE_QUBITS = 12
 
@@ -85,8 +85,7 @@ class PauliString:
 
 def single(n: int, qubit: int, axis: str) -> PauliString:
     """Weight-1 word with axis label x, y or z, in either case, on one qubit."""
-    if not 0 <= qubit < n:
-        raise DomainError(f"qubit {qubit} outside 0..{n - 1}")
+    qubit = require_qubit(qubit, n)
     if not isinstance(axis, str) or axis.upper() not in ("X", "Y", "Z"):
         raise DomainError(f"axis must be one of x, y, z, got {axis!r}")
     x, z = _BITS[axis.upper()]

@@ -26,7 +26,7 @@ from itertools import chain
 from . import bounds
 from .bounds import BoundReport, GeneratorSpec
 from .depth import DepthResult, GROW
-from .errors import DimensionError, DomainError, ParseError
+from .errors import DimensionError, DomainError, ParseError, require_qubit
 from .network import (AXES, QubitNetwork, dump_json, json_int, json_number, read_json,
                       strongest_couplings)
 from .pauli import PauliString, multiply, two_body
@@ -129,8 +129,7 @@ def check_schedule(net: QubitNetwork, schedule: Schedule) -> None:
             norm = math.hypot(*prim.axis)
             if len(prim.axis) != 3 or not math.isclose(norm, 1.0, rel_tol=0, abs_tol=1e-9):
                 raise DomainError(f"rotation axis must be a unit 3-vector, got {prim.axis}")
-            if not 0 <= prim.qubit < net.n:
-                raise DomainError(f"qubit {prim.qubit} outside 0..{net.n - 1}")
+            require_qubit(prim.qubit, net.n)
             if not math.isfinite(prim.angle):  # an evolution's own constructor refuses it
                 raise DomainError(f"angle {prim.angle} is not finite")
         elif isinstance(prim, TwoBodyEvolution):
@@ -267,7 +266,7 @@ def select_two_body(
     the requested sign.  Duration is exactly k/edge_best_coupling; an edge
     the network lacks is refused at every k, k = 0 included.
     """
-    (u, v), alpha, beta = _oriented(edge, alpha, beta, sign)
+    (u, v), alpha, beta = _oriented([require_qubit(q, net.n) for q in edge], alpha, beta, sign)
     a0, b0, g0 = strongest_couplings(net, (u, v))[0]
     if k == 0.0:
         return Schedule(net.n, ())

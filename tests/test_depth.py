@@ -105,6 +105,9 @@ def test_max_depth_table_five_path():
     # numpy integers and bools keep counting as the qubits they equal
     assert depth_of_support(net, [np.int64(0), 3]) == depth_of_support(net, [0, 3])
     assert table.support_depth((np.int64(0), True)) == table.support_depth((0, 1))
+    walk = depth_of_support(net, [0, True, 3])  # stored as plain ints
+    assert all(type(q) is int for s in walk.witness for q in (*s.edge, s.vertex))
+    assert all(type(q) is int for q in walk.start_edge)
 
 
 def test_full_weight_on_paths():

@@ -192,6 +192,14 @@ def test_validation_errors():
             QubitNetwork(n=2, edges={(0, 1): tensor})
         with pytest.raises(DomainError, match=r"omega must be an \(2, 3\) array of real numbers"):
             QubitNetwork(n=2, edges={(0, 1): g}, omega=[[0, bad, 0], [0, 0, 0]])
+    ragged = [[[1, 2], 0, 0], [0, 0, 0], [0, 0, 1.0]]  # formerly numpy's ValueError
+    with pytest.raises(DomainError, match="couplings must be real numbers"):
+        QubitNetwork(n=3, edges={(0, 1): ragged, (1, 2): np.eye(3)})
+    with pytest.raises(DomainError, match="qubit 0.5 is not an integer"):  # formerly a TypeError
+        QubitNetwork(n=2, edges={(0.5, 1): g})
+    net = QubitNetwork(n=3, edges={(0, True): g, (np.int64(2), np.int64(1)): g})
+    assert list(net.edges) == [(0, 1), (1, 2)] and net.adjacency == ((1,), (0, 2), (1,))
+    assert all(type(q) is int for e in net.edges for q in e)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])

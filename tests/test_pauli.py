@@ -256,6 +256,11 @@ def test_weight_and_support():
             PauliString(2, x, z)
     with pytest.raises(DomainError, match="qubit 4 outside"):
         single(4, 4, "x")
+    for qubit in (0.5, "1"):  # formerly a bare TypeError
+        with pytest.raises(DomainError, match="not an integer"):
+            single(3, qubit, "x")
+    wide = single(100, np.int64(70), "x")  # formerly an OverflowError
+    assert wide == single(100, 70, "x") and type(wide.x_bits) is type(wide.z_bits) is int
     with pytest.raises(DomainError, match="distinct qubits"):
         two_body(4, 1, "x", 1, "z")
     assert single(4, 2, "Y") == single(4, 2, "y")

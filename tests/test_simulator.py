@@ -199,6 +199,7 @@ class TestScheduleUnitary:
         TwoBodyEvolution((0, 1), "z", "z", 1, 0.3, -1.0),  # no -ZZ drift on the edge
         LocalRotation(0, (0.0, 0.0, 1.0), math.inf),       # non-finite angle
         "not a primitive",
+        LocalRotation(0.5, (1.0, 0.0, 0.0), 0.3),  # formerly a bare TypeError
     ])
     def test_rejects_bad_primitives(self, prim):
         with pytest.raises(DomainError):

@@ -15,6 +15,7 @@ from gatebound import (
     depth,
     edge_best_coupling,
     gate_infidelity,
+    ising_chain,
     min_coupling,
     normalized_error,
     run_time_bound,
@@ -102,6 +103,12 @@ class TestScheduleType:
         assert load_schedule(path) == s
         with pytest.raises(ParseError):
             schedule_from_dict({"n": 2, "primitives": [{"kind": "nope"}]})
+        # numpy integer edge ends are stored as ints, so the schedule saves
+        keyed = QubitNetwork(n=3, edges={(np.int64(k), np.int64(k + 1)): net.edge_tensor((k, k + 1))
+                                         for k in range(2)})
+        s, _ = synth_generator(keyed, GeneratorSpec(((0.7, parse_pauli("ZYX")),)), 0.1)
+        save_schedule(s, path)
+        assert load_schedule(path) == s
 
     def test_saved_file_is_one_compact_line(self, tmp_path):
         net = uniform_chain(3)
@@ -195,6 +202,19 @@ class TestSelectTwoBody:
                 select_two_body(net, (0, 1), alpha, beta, 1, 0.5)
         with pytest.raises(DomainError, match="sign"):
             select_two_body(net, (0, 1), "z", "z", 2, 0.5)
+        # formerly "no edge ... in the network"
+        with pytest.raises(DomainError, match=r"qubit 5 outside 0\.\.2"):
+            select_two_body(net, (0, 5), "z", "z", 1, 0.5)
+        with pytest.raises(DomainError, match="qubit 0.5 is not an integer"):
+            select_two_body(net, (0.5, 1), "z", "z", 1, 0.5)
+
+    def test_numpy_integer_ends_are_stored_as_ints(self, tmp_path):
+        s = select_two_body(ising_chain(3), (np.int64(0), np.int64(1)), "x", "x", 1, 0.3)
+        assert s.primitives and all(
+            type(q) is int for p in s.primitives
+            for q in (p.edge if isinstance(p, TwoBodyEvolution) else (p.qubit,)))
+        save_schedule(s, tmp_path / "schedule.json")  # formerly not JSON serializable
+        assert load_schedule(tmp_path / "schedule.json") == s
 
 
 class TestConjugationIdentity:
