@@ -30,7 +30,7 @@ from .errors import DomainError, ParseError, require_positive
 from .network import QubitNetwork, json_number, min_coupling, read_json, require_full_local
 from .pauli import PauliString, parse_pauli
 
-_PAIR_BLOCK = 8192  # pair entries per block of commutator_weight
+_BAND_ROWS = 32  # rows of pairs per band of commutator_weight
 
 
 @dataclass(frozen=True)
@@ -126,31 +126,28 @@ def commutator_weight(spec: GeneratorSpec) -> float:
     Overlap counts x_j.z_k + z_j.x_k come from float32 matmuls of bit rows
     [x | z] against a C-contiguous matrix of bit columns [z | x]; they are
     exact, since a count is at most 2n and float32 holds every integer up to
-    2**24 (n <= 2**23).  The pairs go in blocks of whole rows, j ascending:
-    as many rows as fit in _PAIR_BLOCK pairs, and at least one, so a block
-    holds at most max(_PAIR_BLOCK, l - 1) pairs.  A block's counts are cast
-    once to uint8 and reduced to parities in place; only its last r1 - r0
-    columns, the strip that reaches the diagonal, are masked to k < j.  One
-    compress of the raveled outer product takes the odd pairs' |a_j|*|a_k|
-    in row-major order (j, then k < j, ascending), and cumsum after the
-    previous block's last partial sum adds them one at a time, so K is
-    bit-identical to the Python loop over the pairs in that order.
+    2**24 (n <= 2**23).  The pairs go in bands of _BAND_ROWS whole rows,
+    j ascending, so a band holds fewer than _BAND_ROWS * l pairs.  A band's
+    counts are cast once to uint8 and reduced to parities in place; only its
+    last r1 - r0 columns, the strip that reaches the diagonal, are masked to
+    k < j.  One compress of the raveled outer product takes the odd pairs'
+    |a_j|*|a_k| in row-major order (j, then k < j, ascending), and cumsum
+    after the previous band's last partial sum adds them one at a time, so K
+    is bit-identical to the Python loop over the pairs in that order.
     """
     l, w = spec.l, np.abs(spec.coefficients)
     bits = spec.bits.astype(np.float32)
     rows, cols = bits.reshape(l, -1), bits.transpose(1, 2, 0)[::-1].reshape(-1, l)
-    total, r0 = np.zeros(1), 1
+    total = np.zeros(1)
     with np.errstate(over="ignore"):
-        while r0 < l:  # rows r0..r1-1, the most h with h*(r0 + h - 1) <= _PAIR_BLOCK
-            h = (math.isqrt((r0 - 1)**2 + 4 * _PAIR_BLOCK) - r0 + 1) // 2
-            r1 = min(r0 + max(h, 1), l)
+        for r0 in range(1, l, _BAND_ROWS):  # rows r0..r1-1
+            r1 = min(r0 + _BAND_ROWS, l)
             odd = (rows[r0:r1] @ cols[:, :r1 - 1]).astype(np.uint8)
             odd &= 1
             strip, i = odd[:, r0 - 1:], np.arange(r1 - r0)
             strip &= i[:, None] >= i
             kept = (w[r0:r1, None] * w[:r1 - 1]).ravel().compress(odd.view(bool).ravel())
             total = np.concatenate((total, kept)).cumsum()[-1:]
-            r0 = r1
     K = 2.0 * float(total[0])
     if not math.isfinite(K):
         raise DomainError("commutator weight overflows; coefficients too large")

@@ -81,7 +81,11 @@ class QubitNetwork:
         for i, j in self.edges:
             if i == j:
                 raise DomainError(f"self-loop on qubit {i}")
-            if not (0 <= i < self.n and 0 <= j < self.n):
+            try:
+                outside = not (0 <= i < self.n and 0 <= j < self.n)
+            except TypeError:  # an end that is no number: require_qubit names it
+                outside = False
+            if outside:
                 raise DomainError(f"edge ({i},{j}) outside 0..{self.n - 1}")
             i, j = require_qubit(i, self.n), require_qubit(j, self.n)
             if keys.setdefault(canonical_edge(i, j), (i, j)) != (i, j):
@@ -94,7 +98,11 @@ class QubitNetwork:
             couplings = None
         if couplings is None or couplings.shape[1:] != (3, 3):
             for (i, j), g in self.edges.items():
-                if np.shape(np.array(g, dtype=object)) != (3, 3):
+                try:
+                    shape = np.shape(np.array(g, dtype=object))
+                except ValueError:  # rows of equal length whose entries do not stack
+                    shape = None
+                if shape != (3, 3):
                     raise DomainError(f"edge ({i},{j}) coupling tensor is not 3x3")
             raise DomainError("couplings must be real numbers")  # shapes are fine: a non-number
         for fault, bad in (("has non-finite couplings", ~np.isfinite(couplings).all(axis=(1, 2))),

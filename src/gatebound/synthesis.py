@@ -352,6 +352,12 @@ def report_schedule(net: QubitNetwork, report: BoundReport) -> Schedule:
     built with exact depths, run m times."""
     if not report.exact_depths:
         raise DomainError("report_schedule needs a report built with use_exact_depths=True")
+    for word, walk in zip(report.spec.words, report.walks):  # before any ladder is built
+        end = set(walk.start_edge if walk else ())
+        for step in walk.witness if walk else ():
+            (end.add if step.kind == GROW else end.discard)(step.vertex)
+        if word.weight > 1 and end != set(word.support):
+            raise DomainError(f"the walk of term {word} does not end on its support")
     m = report.trotter_steps
     one_pass = (_term_schedule(net, a / m, word, walk)
                 for (a, word), walk in zip(report.spec.terms, report.walks))

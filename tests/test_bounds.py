@@ -368,17 +368,17 @@ class TestCommutatorKernel:
             s = random_spec(rng, n, min(l, 4**n - 1), coeff_range=(1e-3, 10.0))
             assert commutator_weight(s) == commutator_weight_oracle(s)
 
-    @pytest.mark.parametrize("l", [1, 90, 91, 92, 300])
+    @pytest.mark.parametrize("l", [1, 32, 33, 34, 65, 90, 91, 92, 300])
     def test_matches_pair_loop_at_block_edges(self, l):
-        # the first block holds rows 1..90 (90 * 90 <= 8192 < 91 * 91), so
-        # l = 91 fills exactly one block; l = 300 spans seven
+        # 32-row bands hold rows 1..32, 33..64, ...: l = 33 fills exactly one
+        # band, l = 34 starts a second of one row, l = 65 fills two
         rng = np.random.default_rng(7000 + l)
         s = random_spec(rng, 20, l, coeff_range=(1e-3, 10.0))
         assert commutator_weight(s) == commutator_weight_oracle(s)
 
     def test_matches_pair_loop_when_rows_split(self, monkeypatch):
-        # with 7-pair blocks every row past the seventh is a block of its own
-        monkeypatch.setattr(bounds, "_PAIR_BLOCK", 7)
+        # with 1-row bands every row is a band of its own
+        monkeypatch.setattr(bounds, "_BAND_ROWS", 1)
         rng = np.random.default_rng(7001)
         for n, l in [(3, 20), (8, 40), (65, 30)]:
             s = random_spec(rng, n, l, coeff_range=(1e-3, 10.0))
@@ -427,15 +427,15 @@ class TestCommutatorKernel:
                                     min_size=l, max_size=l))
         s = GeneratorSpec(tuple((a, PauliString(n, x, z)) for a, (x, z) in zip(coeffs, keys)))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(bounds, "_PAIR_BLOCK", data.draw(st.integers(1, 300)))
+            mp.setattr(bounds, "_BAND_ROWS", data.draw(st.integers(1, 70)))
             assert commutator_weight(s) == commutator_weight_oracle(s)
 
     def test_masked_products_never_reach_the_sum(self, monkeypatch):
-        # with 50-pair blocks, rows 8..11 form the second block and its strip
-        # is columns 7..10: (8, 8) and (9, 9) are diagonal entries there, (8, 9)
+        # with 7-row bands, rows 8..12 form the second band and its strip is
+        # columns 7..11: (8, 8) and (9, 9) are diagonal entries there, (8, 9)
         # has k > j, and rows 8 and 9 meet the commuting ZZ word 2 in the
         # rectangle; all of these products overflow and all are dropped
-        monkeypatch.setattr(bounds, "_PAIR_BLOCK", 50)
+        monkeypatch.setattr(bounds, "_BAND_ROWS", 7)
         words = ["XIIIII", "YXIIII", "ZZIIII", "IYXIII", "IIYXII", "IIIYXI", "IIIIYX",
                  "XIIIIY", "IZZIII", "IIZZII", "XXIIII", "IIIIXX", "YIIIIY"]
         big = {2: 1e200, 8: 1e200, 9: 1e300}
@@ -459,6 +459,19 @@ class TestCommutatorKernel:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+
+    def test_scratch_memory_is_linear_in_the_terms(self):
+        # two float32 copies of the bits, 4 * l * 2n bytes each, and at most
+        # 32 bytes of scratch for each of a band's fewer than _BAND_ROWS * l pairs
+        n, l = 20, 4000
+        s = random_spec(np.random.default_rng(7005), n, l)
+        tracemalloc.start()
+        try:
+            commutator_weight(s)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * l * n + 32 * bounds._BAND_ROWS * l
 
     def test_cli_bound_on_eight_thousand_terms(self, tmp_path, capsys):
         s = random_spec(np.random.default_rng(7004), 20, 8000)

@@ -197,6 +197,13 @@ def test_validation_errors():
         QubitNetwork(n=3, edges={(0, 1): ragged, (1, 2): np.eye(3)})
     with pytest.raises(DomainError, match="qubit 0.5 is not an integer"):  # formerly a TypeError
         QubitNetwork(n=2, edges={(0.5, 1): g})
+    with pytest.raises(DomainError, match="qubit '1' is not an integer"):  # formerly a TypeError
+        QubitNetwork(n=2, edges={("1", 0): np.eye(3)})
+    with pytest.raises(DomainError, match="self-loop"):  # still checked first
+        QubitNetwork(n=2, edges={("1", "1"): np.eye(3)})
+    stacked = [np.zeros((3, 2)), np.zeros((3, 3)), np.zeros(3)]  # formerly numpy's ValueError
+    with pytest.raises(DomainError, match=r"edge \(0,1\) coupling tensor is not 3x3"):
+        QubitNetwork(n=2, edges={(0, 1): stacked})
     net = QubitNetwork(n=3, edges={(0, True): g, (np.int64(2), np.int64(1)): g})
     assert list(net.edges) == [(0, 1), (1, 2)] and net.adjacency == ((1,), (0, 2), (1,))
     assert all(type(q) is int for e in net.edges for q in e)

@@ -417,8 +417,15 @@ class TestSynthGenerator:
             return bound_report(GeneratorSpec(((0.3, parse_pauli(word)),)), net, 1.0,
                                 use_exact_depths=True)
 
-        with pytest.raises(AssertionError, match="conjugation ladder"):
+        # refused before any ladder is built; formerly the ladder's AssertionError
+        with pytest.raises(DomainError, match="walk of term ZZZI does not end on its support"):
             report_schedule(net, replace(rep("ZZZI"), walks=rep("ZIZI").walks))
+        # formerly an AttributeError on the missing walk
+        with pytest.raises(DomainError, match="walk of term ZZZI does not end on its support"):
+            report_schedule(net, replace(rep("ZZZI"), walks=(None,)))
+        # formerly a schedule of ZZII's core alone, 0.30 from the target
+        with pytest.raises(DomainError, match="walk of term ZZZI does not end on its support"):
+            report_schedule(net, replace(rep("ZZZI"), walks=rep("ZZII").walks))
 
     def test_commuting_terms_are_exact(self):
         net = uniform_chain(3)
